@@ -630,12 +630,6 @@ def eval_atom(model: Model, team: Team, atom: DepAtom, registry: AtomRegistry | 
     return d.direct(model, rel)
 
 
-def atom_team(atom_args: tuple[str, ...], rel: frozenset[Row]) -> Team:
-    """Realize a projected relation as a team over fresh column variables."""
-    vars_ = tuple(f"w{i}" for i in range(len(atom_args)))
-    return Team(vars_, rel)
-
-
 # ---------------------------------------------------------------------------
 # Brute-force checkers
 

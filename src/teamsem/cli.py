@@ -449,7 +449,12 @@ def _add_grid_options(parser: argparse.ArgumentParser) -> None:
         help="sweep grid, e.g. 'doms=2,3;max_rows=4;max_depth=3;max_vars=2' "
         "(default: TEAMSEM_GRID or built-in)",
     )
-    parser.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    parser.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="parallel worker processes (at least 1; capped at the CPU count)",
+    )
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -1,28 +1,41 @@
 """Exhaustive small-scale checking: model and team enumeration, formula
 corpora, and the equivalence sweeps that stand in for proofs.
 
+The sweep layer has three parts.  `SWEEPS` is the table of the eight
+theorem suites: each `Sweep` entry names its corpus builder, its
+comparison and its tiers, and each `Tier` is one report with its own
+mode (or pair of modes), grid, cost budget and item filter.  The seven
+comparisons (`_equivalence`, `_translation`, `_flatness`, `_locality`,
+`_upflat`, `_isomorphism`, `_height`) only say how to evaluate the teams
+of one (item, model) pair and what the verdicts are.  One runner,
+`_sweep`, owns the rest: the cost-budget gate, the checked and skipped
+counts, the mismatch and verbose records, the merge and the worker pool.
+`check_formula_equivalence` and `check_translation_equivalence` are
+one-tier calls into the same runner.
+
+Tiers keep the evidence independent.  The broad tier walks the whole
+grid with the fast evaluator; the independence tiers re-run a reduced
+grid with the pruning-disabled evaluator paths (`oracle` or `naive`), so
+the evidence does not rest on the very rewrites the theorems justify.
+Tasks whose exhaustive cost estimate is out of budget are skipped and
+counted.
+
 Everything is deterministic: models, teams, and formulas come out in a
 fixed construction order, reports list failures in encounter order, and
 the JSON serializations sort their keys, so identical parameters give
-byte-identical reports.  Wall-clock numbers are kept off the reports for
-the same reason.
-
-The sweeps run in two tiers.  The broad tier walks the whole grid with
-the fast evaluator; the independence tier re-runs a reduced grid with the
-pruning-disabled evaluator paths (`oracle` or `naive`), so the evidence
-does not rest on the very rewrites the theorems justify.  Points whose
-exhaustive cost estimate is out of budget are skipped and counted.
+byte-identical reports, whatever the number of workers.  Wall-clock
+numbers are kept off the reports for the same reason.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import os
 import re
-import time
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .analysis import InvariantBreach, compute_height, find_small_witness
 from .atoms import AtomRegistry, DEFAULT_REGISTRY
@@ -52,6 +65,7 @@ from .syntax import (
     Var,
     desugar_possibility,
     flatten,
+    formula_signature,
     free_variables,
     pretty,
     subformulas,
@@ -451,7 +465,6 @@ class Report:
     skipped: int = 0
     mismatches: list[dict] = field(default_factory=list)
     records: list[dict] | None = None
-    elapsed: float = 0.0
 
     @property
     def ok(self) -> bool:
@@ -475,294 +488,272 @@ class Report:
         yield json.dumps(self.summary(), sort_keys=True)
 
 
-def _point(
-    model: Model, team: Team, verdicts: dict, **extra
-) -> dict:
+def _point(model: Model, team: Team, verdicts: dict, extra: dict) -> dict:
+    """A report record; formulas among the `extra` fields are printed here,
+    so points that are never recorded cost no printing."""
     data = {
         "model": json.loads(model.to_json()),
         "team": json.loads(team.to_json()),
         "verdicts": verdicts,
         "ok": len(set(verdicts.values())) <= 1,
     }
-    data.update(extra)
+    data.update((k, pretty(v) if isinstance(v, Formula) else v) for k, v in extra.items())
     return data
 
 
+def _free(phi: Formula) -> tuple[str, ...]:
+    return tuple(sorted(free_variables(phi)))
+
+
 def _fv_tuple(phi: Formula) -> tuple[str, ...]:
-    xs = tuple(sorted(free_variables(phi)))
-    return xs if xs else ("x",)
-
-
-def _run_tasks(fn: Callable, tasks: list, jobs: int) -> list:
-    if jobs > 1 and len(tasks) > 1:
-        import multiprocessing as mp
-
-        with mp.get_context("fork").Pool(min(jobs, len(tasks))) as pool:
-            return pool.map(fn, tasks, chunksize=1)
-    return [fn(t) for t in tasks]
+    return _free(phi) or ("x",)
 
 
 # ---------------------------------------------------------------------------
-# Grid tasks (module level so --jobs can fork them)
+# Comparisons
+#
+# A comparison walks the teams of one (item, model) pair, given the tier's
+# row cap, its pair of modes and the atom registry.  It is a generator: the
+# first yield lists the (formula, mode) pairs the cost budget is checked
+# against, and the runner stops it there when an estimate is over budget.
+# Every later yield is a Point.
 
-def _equivalence_task(task) -> tuple[int, int, list[dict], list[dict]]:
-    phi, psi, model, vars, max_rows, reg, modes, budget, verbose = task
-    mode_l, mode_r = (modes, modes) if isinstance(modes, str) else modes
-    if budget is not None:
-        worst = max(
-            (
-                eval_cost_estimate(f, len(model.domain), max_rows, m)
-                for f, m in ((phi, mode_l), (psi, mode_r))
-                if m != "fast"
-            ),
-            default=0.0,
-        )
-        if worst > budget:
-            return 0, 1, [], []
-    ev_l = Evaluator(model, registry=reg, mode=mode_l)
-    ev_r = ev_l if mode_r == mode_l else Evaluator(model, registry=reg, mode=mode_r)
-    checked, mismatches, records = 0, [], []
-    for team in enumerate_teams(model, vars, max_rows):
+class Point(NamedTuple):
+    """What one comparison step adds to its report.  `record` holds the
+    arguments of `_point` for its verbose record, built only when asked
+    for."""
+
+    checked: int = 1
+    skipped: int = 0
+    mismatch: dict | None = None
+    record: tuple | None = None
+
+
+def _pair(model: Model, team: Team, verdicts: dict, extra: dict) -> Point:
+    """A point with two verdicts: a mismatch when they differ, recorded
+    the same way either way."""
+    record = (model, team, verdicts, extra)
+    left, right = verdicts.values()
+    return Point(1, 0, None if left == right else _point(*record), record)
+
+
+def _equivalence(item, model, rows, modes, registry):
+    """Two formulas, each on its own mode, agree on every team over the
+    item's variables."""
+    phi, psi, vars = item
+    mode_l, mode_r = modes
+    yield [(f, m) for f, m in ((phi, mode_l), (psi, mode_r)) if m != "fast"]
+    ev_l = Evaluator(model, registry=registry, mode=mode_l)
+    ev_r = ev_l if mode_r == mode_l else Evaluator(model, registry=registry, mode=mode_r)
+    extra = {"left": phi, "right": psi, "modes": [mode_l, mode_r]}
+    for team in enumerate_teams(model, vars, rows):
         a = ev_l.evaluate(phi, team)
-        b = ev_r.evaluate(psi, team)
-        checked += 1
-        if a != b or verbose:
-            record = _point(
-                model,
-                team,
-                {"left": a, "right": b},
-                left=pretty(phi),
-                right=pretty(psi),
-                modes=[mode_l, mode_r],
-            )
-            if a != b:
-                mismatches.append(record)
-            if verbose:
-                records.append(record)
-    return checked, 0, mismatches, records
+        yield _pair(model, team, {"left": a, "right": ev_r.evaluate(psi, team)}, extra)
 
 
-def _translation_task(task) -> tuple[int, int, list[dict], list[dict]]:
-    phi, tuple_vars, sentence, relation, model, max_rows, reg, mode, budget, verbose = task
-    if budget is not None:
-        if eval_cost_estimate(phi, len(model.domain), max_rows, mode) > budget:
-            return 0, 1, [], []
-    ev = Evaluator(model, registry=reg, mode=mode)
+def _translation(item, model, rows, modes, registry):
+    """Team satisfaction of a formula agrees with ordinary satisfaction of
+    its compiled sentence, the team relation set to the team's projection."""
+    phi, tuple_vars, sentence, relation = item
+    mode = modes[0]
+    yield [(phi, mode)]
+    ev = Evaluator(model, registry=registry, mode=mode)
     compiled = compile_fo(model, sentence, {}, 0)
-    checked, skipped, mismatches, records = 0, 0, [], []
+    extra = {
+        "formula": phi,
+        "tuple": list(tuple_vars),
+        "sentence": sentence,
+        "relation": relation,
+        "mode": mode,
+    }
     if tuple_vars:
-        teams: Iterable[Team] = enumerate_teams(model, tuple_vars, max_rows)
+        teams: Iterable[Team] = enumerate_teams(model, tuple_vars, rows)
     else:
         # a team over the empty tuple is empty or the lone empty assignment;
         # the compiled sentence only speaks for the nonempty one
         teams = [SINGLETON_EMPTY_TEAM]
-        skipped = 1
+        yield Point(checked=0, skipped=1)
     for team in teams:
         a = ev.evaluate(phi, team)
-        if tuple_vars:
-            b = compiled([], {relation: team_project(team, tuple_vars)})
-        else:
-            b = compiled([], {})
-        checked += 1
-        if a != b or verbose:
-            record = _point(
-                model,
-                team,
-                {"team_eval": a, "tarski": b},
-                formula=pretty(phi),
-                tuple=list(tuple_vars),
-                sentence=pretty(sentence),
-                relation=relation,
-                mode=mode,
-            )
-            if a != b:
-                mismatches.append(record)
-            if verbose:
-                records.append(record)
-    return checked, skipped, mismatches, records
+        b = compiled([], {relation: team_project(team, tuple_vars)} if tuple_vars else {})
+        yield _pair(model, team, {"team_eval": a, "tarski": b}, extra)
 
 
-def _flatness_task(task) -> tuple[int, int, list[dict], list[dict]]:
-    phi, model, max_rows, mode, budget, verbose = task
-    if budget is not None:
-        if eval_cost_estimate(phi, len(model.domain), max_rows, mode) > budget:
-            return 0, 1, [], []
-    xs = tuple(sorted(free_variables(phi)))
-    ev = Evaluator(model, mode=mode)  # first-order corpus: registry unused
+def _flatness(phi, model, rows, modes, registry):
+    mode = modes[0]
+    yield [(phi, mode)]
+    xs = _free(phi)
+    ev = Evaluator(model, registry=registry, mode=mode)
     compiled = compile_fo(model, phi, {v: i for i, v in enumerate(xs)}, len(xs))
-    checked, mismatches, records = 0, [], []
-    for team in enumerate_teams(model, xs, max_rows):
+    extra = {"formula": phi, "mode": mode}
+    for team in enumerate_teams(model, xs, rows):
         a = ev.evaluate(phi, team)
         b = all(compiled(list(row), {}) for row in team.sorted_rows)
-        checked += 1
-        if a != b or verbose:
-            record = _point(
-                model,
-                team,
-                {"team_eval": a, "pointwise": b},
-                formula=pretty(phi),
-                mode=mode,
-            )
-            if a != b:
-                mismatches.append(record)
-            if verbose:
-                records.append(record)
-    return checked, 0, mismatches, records
+        yield _pair(model, team, {"team_eval": a, "pointwise": b}, extra)
 
 
-def _locality_task(task) -> tuple[int, int, list[dict], list[dict]]:
-    phi, model, max_rows, reg, mode, budget, verbose = task
-    rows_cap = max_rows if len(model.domain) == 2 else min(2, max_rows)
-    if budget is not None:
-        if eval_cost_estimate(phi, len(model.domain), rows_cap, mode) > budget:
-            return 0, 1, [], []
-    xs = tuple(sorted(free_variables(phi)))
-    extra = next(v for v in ("z", "w", "u", "t", "s") if v not in xs)
-    ev = Evaluator(model, registry=reg, mode=mode)
-    checked, mismatches, records = 0, [], []
-    for team in enumerate_teams(model, xs + (extra,), rows_cap):
+def _locality(phi, model, rows, modes, registry):
+    mode = modes[0]
+    yield [(phi, mode)]
+    xs = _free(phi)
+    dropped = next(v for v in ("z", "w", "u", "t", "s") if v not in xs)
+    ev = Evaluator(model, registry=registry, mode=mode)
+    extra = {"formula": phi, "dropped": dropped, "mode": mode}
+    for team in enumerate_teams(model, xs + (dropped,), rows):
         a = ev.evaluate(phi, team)
         b = ev.evaluate(phi, team_restrict(team, xs))
-        checked += 1
-        if a != b or verbose:
-            record = _point(
-                model,
-                team,
-                {"padded": a, "restricted": b},
-                formula=pretty(phi),
-                dropped=extra,
-                mode=mode,
-            )
-            if a != b:
-                mismatches.append(record)
-            if verbose:
-                records.append(record)
-    return checked, 0, mismatches, records
+        yield _pair(model, team, {"padded": a, "restricted": b}, extra)
 
 
-def _upflat_task(task) -> tuple[int, int, list[dict], list[dict]]:
-    phi, model, max_rows, reg, mode, budget, verbose = task
-    if budget is not None:
-        if eval_cost_estimate(phi, len(model.domain), max_rows, mode) > budget:
-            return 0, 1, [], []
-    xs = tuple(sorted(free_variables(phi)))
-    ev = Evaluator(model, registry=reg, mode=mode)
-    flat = flatten(phi)
-    compiled = compile_fo(model, flat, {v: i for i, v in enumerate(xs)}, len(xs))
-    checked, mismatches, records = 0, [], []
-    for big_team in enumerate_teams(model, xs, max_rows):
-        rows = sorted(big_team.rows)
-        flat_ok = all(compiled(list(row), {}) for row in rows)
+def _upflat(phi, model, rows, modes, registry):
+    """A team accounts for itself and its 2^rows subteams."""
+    mode = modes[0]
+    yield [(phi, mode)]
+    xs = _free(phi)
+    ev = Evaluator(model, registry=registry, mode=mode)
+    compiled = compile_fo(model, flatten(phi), {v: i for i, v in enumerate(xs)}, len(xs))
+    for big_team in enumerate_teams(model, xs, rows):
+        team_rows = sorted(big_team.rows)
+        flat_ok = all(compiled(list(row), {}) for row in team_rows)
         big_sat = ev.evaluate(phi, big_team)
-        checked += 1
+        verdicts = {"satisfied": big_sat, "flattening_pointwise": flat_ok}
         if big_sat and not flat_ok:
-            mismatches.append(
-                _point(
-                    model,
-                    big_team,
-                    {"satisfied": big_sat, "flattening_pointwise": flat_ok},
-                    formula=pretty(phi),
-                    kind="flattening-implication",
-                    mode=mode,
-                )
-            )
+            extra = {"formula": phi, "kind": "flattening-implication", "mode": mode}
+            yield Point(checked=0, mismatch=_point(model, big_team, verdicts, extra))
         # closure: every satisfying subteam of a pointwise-flat superteam
         # forces the superteam.  When the superteam already satisfies (or
         # is not pointwise flat) the implication holds for all 2^|rows|
         # subteams at once; only the remaining case needs evaluations.
-        n_subteams = 2 ** len(rows)
-        checked += n_subteams
+        n_subteams = 2 ** len(team_rows)
         if flat_ok and not big_sat:
-            for k in range(len(rows) + 1):
-                for combo in itertools.combinations(rows, k):
+            for k in range(len(team_rows) + 1):
+                for combo in itertools.combinations(team_rows, k):
                     sub = Team(big_team.vars, frozenset(combo))
                     if ev.evaluate(phi, sub):
-                        mismatches.append(
-                            _point(
-                                model,
-                                big_team,
-                                {
-                                    "subteam_satisfied": True,
-                                    "flattening_pointwise": flat_ok,
-                                    "satisfied": big_sat,
-                                },
-                                formula=pretty(phi),
-                                subteam=json.loads(sub.to_json()),
-                                kind="upward-flat-closure",
-                                mode=mode,
-                            )
-                        )
-        if verbose:
-            records.append(
-                _point(
-                    model,
-                    big_team,
-                    {"satisfied": big_sat, "flattening_pointwise": flat_ok},
-                    formula=pretty(phi),
-                    subteams=n_subteams,
-                    mode=mode,
-                )
-            )
-    return checked, 0, mismatches, records
+                        extra = {
+                            "formula": phi,
+                            "subteam": json.loads(sub.to_json()),
+                            "kind": "upward-flat-closure",
+                            "mode": mode,
+                        }
+                        closure = {"subteam_satisfied": True, **verdicts}
+                        yield Point(checked=0, mismatch=_point(model, big_team, closure, extra))
+        extra = {"formula": phi, "subteams": n_subteams, "mode": mode}
+        yield Point(checked=1 + n_subteams, record=(model, big_team, verdicts, extra))
 
 
-def _iso_task(task) -> tuple[int, int, list[dict], list[dict]]:
-    phi, model, max_rows, reg, mode, verbose = task
-    rows_cap = max_rows if len(model.domain) == 2 else min(2, max_rows)
-    xs = tuple(sorted(free_variables(phi)))
-    base = Evaluator(model, registry=reg, mode=mode)
+def _isomorphism(phi, model, rows, modes, registry):
+    """One point per team and nontrivial renaming."""
+    mode = modes[0]
+    yield [(phi, mode)]
+    xs = _free(phi)
+    base = Evaluator(model, registry=registry, mode=mode)
     others = []
     for perm in itertools.permutations(model.domain):
         mapping = dict(zip(model.domain, perm))
         if all(k == v for k, v in mapping.items()):
             continue
-        others.append((mapping, Evaluator(permute_model(model, mapping), registry=reg, mode=mode)))
-    checked, mismatches, records = 0, [], []
-    for team in enumerate_teams(model, xs, rows_cap):
+        renamed = Evaluator(permute_model(model, mapping), registry=registry, mode=mode)
+        extra = {"formula": phi, "renaming": dict(sorted(mapping.items())), "mode": mode}
+        others.append((mapping, renamed, extra))
+    for team in enumerate_teams(model, xs, rows):
         a = base.evaluate(phi, team)
-        for mapping, ev in others:
+        for mapping, ev, extra in others:
             b = ev.evaluate(phi, permute_team(team, mapping))
-            checked += 1
-            if a != b or verbose:
-                record = _point(
-                    model,
-                    team,
-                    {"original": a, "renamed": b},
-                    formula=pretty(phi),
-                    renaming=dict(sorted(mapping.items())),
-                    mode=mode,
-                )
-                if a != b:
-                    mismatches.append(record)
-                if verbose:
-                    records.append(record)
-    return checked, 0, mismatches, records
+            yield _pair(model, team, {"original": a, "renamed": b}, extra)
 
 
-def _height_task(task) -> tuple[int, int, list[dict], list[dict]]:
-    phi, model, max_rows, reg, mode, verbose = task
-    xs = tuple(sorted(free_variables(phi)))
-    ev = Evaluator(model, registry=reg, mode=mode)
-    checked, mismatches, records = 0, [], []
-    for team in enumerate_teams(model, xs, max_rows):
+def _height(phi, model, rows, modes, registry):
+    """One point per satisfying team."""
+    mode = modes[0]
+    yield [(phi, mode)]
+    xs = _free(phi)
+    ev = Evaluator(model, registry=registry, mode=mode)
+    for team in enumerate_teams(model, xs, rows):
         if not ev.evaluate(phi, team):
             continue
         try:
-            witness = find_small_witness(model, team, phi, registry=reg, evaluator=ev)
-            checked += 1
-            if verbose:
-                records.append(
-                    _point(
-                        model,
-                        team,
-                        {"witness_size": len(witness.rows)},
-                        formula=pretty(phi),
-                    )
-                )
+            witness = find_small_witness(model, team, phi, registry=registry, evaluator=ev)
         except InvariantBreach as breach:
-            checked += 1
-            mismatches.append(dict(breach.repro, kind="height-witness"))
-    return checked, 0, mismatches, records
+            yield Point(mismatch=dict(breach.repro, kind="height-witness"))
+            continue
+        yield Point(record=(model, team, {"witness_size": len(witness.rows)}, {"formula": phi}))
+
+
+# ---------------------------------------------------------------------------
+# The runner
+
+# The tasks of the sweep running on a worker pool.  Workers are forked after
+# it is filled and receive task indices only, so a task may hold what cannot
+# be pickled: closures in comparisons and corpora, or a custom atom's
+# evaluator in the registry.
+_TASKS: list[Callable[[], tuple]] = []
+
+
+def _run_task(index: int) -> tuple:
+    return _TASKS[index]()
+
+
+def _map(tasks: list[Callable[[], tuple]], jobs: int) -> list[tuple]:
+    """Every task's result, in task order, on at most `jobs` processes
+    and never more than the machine has CPUs."""
+    global _TASKS
+    if jobs < 1:
+        raise HarnessError(f"jobs must be at least 1, got {jobs}")
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers < 2:
+        return [task() for task in tasks]
+    import multiprocessing
+
+    _TASKS = tasks
+    try:
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
+            return pool.map(_run_task, range(len(tasks)), chunksize=1)
+    finally:
+        _TASKS = []
+
+
+def _sweep(
+    report: Report,
+    compare: Callable,
+    tasks: list[tuple],
+    mode: str | Sequence[str],
+    budget: float | None,
+    registry: AtomRegistry | None,
+    jobs: int,
+    verbose: bool,
+) -> Report:
+    """Run `compare` on every (item, model, rows) task and add the counts
+    and records to `report` in task order.  A task whose cost estimate is
+    over `budget` counts as one skipped point."""
+    modes = (mode, mode) if isinstance(mode, str) else tuple(mode)
+
+    def run(item, model: Model, rows: int) -> tuple:
+        points = compare(item, model, rows, modes, registry)
+        sides = next(points)
+        if budget is not None and budget < max(
+            (eval_cost_estimate(f, len(model.domain), rows, m) for f, m in sides), default=0.0
+        ):
+            return 0, 1, [], []
+        checked, skipped, mismatches, records = 0, 0, [], []
+        for point in points:
+            checked += point.checked
+            skipped += point.skipped
+            if point.mismatch is not None:
+                mismatches.append(point.mismatch)
+            if verbose and point.record is not None:
+                records.append(_point(*point.record))
+        return checked, skipped, mismatches, records
+
+    for checked, skipped, mismatches, records in _map(
+        [functools.partial(run, *task) for task in tasks], jobs
+    ):
+        report.checked += checked
+        report.skipped += skipped
+        report.mismatches.extend(mismatches)
+        if report.records is not None:
+            report.records.extend(records)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -785,20 +776,14 @@ def check_formula_equivalence(
     the grid."""
     grid = grid or DEFAULT_GRID
     if signature is None:
-        sig_a = _signature_of(phi)
-        sig_b = _signature_of(psi)
+        sig_a = formula_signature(phi)
+        sig_b = formula_signature(psi)
         for name in sig_a.keys() & sig_b.keys():
             if sig_a[name] != sig_b[name]:
                 raise HarnessError(f"relation {name} used at two arities")
         signature = {**sig_a, **sig_b}
     if vars is None:
         vars = tuple(sorted(free_variables(phi) | free_variables(psi)))
-    tasks = [
-        (phi, psi, model, vars, grid.max_rows, registry, mode, budget, verbose)
-        for model in _grid_models(signature, grid, iso_reduce)
-    ]
-    started = time.monotonic()
-    partials = _run_tasks(_equivalence_task, tasks, jobs)
     report = Report(
         name="formula-equivalence",
         params={
@@ -811,15 +796,11 @@ def check_formula_equivalence(
         },
         records=[] if verbose else None,
     )
-    _merge(report, partials)
-    report.elapsed = time.monotonic() - started
-    return report
-
-
-def _signature_of(phi: Formula) -> dict[str, int]:
-    from .syntax import formula_signature
-
-    return formula_signature(phi)
+    tasks = [
+        ((phi, psi, vars), model, grid.max_rows)
+        for model in _grid_models(signature, grid, iso_reduce)
+    ]
+    return _sweep(report, _equivalence, tasks, mode, budget, registry, jobs, verbose)
 
 
 def check_translation_equivalence(
@@ -851,13 +832,7 @@ def check_translation_equivalence(
     if relation is None:
         raise HarnessError("a sentence override needs its team relation name")
     if signature is None:
-        signature = _signature_of(phi)
-    tasks = [
-        (phi, tuple_vars, sentence, relation, model, grid.max_rows, registry, mode, budget, verbose)
-        for model in _grid_models(signature, grid, iso_reduce)
-    ]
-    started = time.monotonic()
-    partials = _run_tasks(_translation_task, tasks, jobs)
+        signature = formula_signature(phi)
     report = Report(
         name="translation-equivalence",
         params={
@@ -871,60 +846,204 @@ def check_translation_equivalence(
         },
         records=[] if verbose else None,
     )
-    _merge(report, partials)
-    report.elapsed = time.monotonic() - started
-    return report
-
-
-def _merge(report: Report, partials: list) -> None:
-    for checked, skipped, mismatches, records in partials:
-        report.checked += checked
-        report.skipped += skipped
-        report.mismatches.extend(mismatches)
-        if report.records is not None:
-            report.records.extend(records)
+    tasks = [
+        ((phi, tuple_vars, sentence, relation), model, grid.max_rows)
+        for model in _grid_models(signature, grid, iso_reduce)
+    ]
+    return _sweep(report, _translation, tasks, mode, budget, registry, jobs, verbose)
 
 
 # ---------------------------------------------------------------------------
-# Theorem suites: each runs a broad fast tier plus a reduced tier on a
-# pruning-disabled mode, and returns one report per tier.
+# Theorem suites
 
-def _corpus_report(
-    name: str,
-    tier: str,
-    grid: GridConfig,
-    corpus_size: int,
-    mode: str,
-    extra: dict | None = None,
-) -> Report:
-    params = {
-        "tier": tier,
-        "grid": grid.as_dict(),
-        "corpus_size": corpus_size,
-        "mode": mode,
-    }
-    if extra:
-        params.update(extra)
-    return Report(name=name, params=params)
+class Tier(NamedTuple):
+    """One report of a suite: a label, the evaluator mode (or the pair of
+    modes of a two-sided comparison), a grid, a budget and item filters.
+
+    `rows` None keeps the suite's grid; a number k reduces it to
+    two-element models and teams of at most k rows.  `wide_rows` caps the
+    teams on models of three or more elements.  `only` keeps the items the
+    tier checks (the others are not part of its corpus); `skip` marks
+    items of its corpus it cannot check, each counted skipped once."""
+
+    label: str
+    mode: str | tuple[str, str]
+    rows: int | None = None
+    wide_rows: int | None = None
+    budget: float | None = None
+    only: Callable[[object], bool] | None = None
+    skip: Callable[[object, AtomRegistry | None], bool] | None = None
 
 
-def _sweep_corpus(
-    report: Report,
-    task_fn: Callable,
-    make_task: Callable[[Formula, Model], tuple],
-    corpus: Sequence[Formula],
-    signature: Mapping[str, int],
-    grid: GridConfig,
+class Sweep(NamedTuple):
+    """A theorem suite: `corpus(grid, registry, signature, **options)`
+    builds its items, `compare` checks one (item, model) pair, and each
+    tier yields one report."""
+
+    name: str
+    corpus: Callable[..., list]
+    compare: Callable
+    tiers: tuple[Tier, ...]
+
+
+def _run_suite(
+    sweep: Sweep,
+    grid: GridConfig | None,
+    registry: AtomRegistry | None,
     jobs: int,
-    iso_reduce: bool = False,
-) -> Report:
-    models = _grid_models(signature, grid, iso_reduce)
-    tasks = [make_task(phi, model) for phi in corpus for model in models]
-    started = time.monotonic()
-    partials = _run_tasks(task_fn, tasks, jobs)
-    _merge(report, partials)
-    report.elapsed = time.monotonic() - started
-    return report
+    verbose: bool,
+    signature: Mapping[str, int] | None,
+    **options,
+) -> list[Report]:
+    """One report per tier of `sweep`.  `options` go to the corpus builder
+    and are echoed, as lists, in every report's params."""
+    grid = grid or DEFAULT_GRID
+    signature = {"P": 1} if signature is None else signature
+    corpus = sweep.corpus(grid, registry, signature, **options)
+    reports = []
+    for tier in sweep.tiers:
+        tier_grid = grid
+        if tier.rows is not None:
+            tier_grid = replace(grid, doms=(2,), max_rows=min(tier.rows, grid.max_rows))
+        items = [item for item in corpus if tier.only is None or tier.only(item)]
+        report = Report(
+            name=sweep.name,
+            params={
+                "tier": tier.label,
+                "grid": tier_grid.as_dict(),
+                "corpus_size": len(items),
+                "mode": tier.mode if isinstance(tier.mode, str) else "/".join(tier.mode),
+                **{key: list(value) for key, value in options.items()},
+            },
+            records=[] if verbose else None,
+        )
+        checkable = [
+            item for item in items if tier.skip is None or not tier.skip(item, registry)
+        ]
+        report.skipped = len(items) - len(checkable)
+        models = _grid_models(signature, tier_grid)
+        tasks = [
+            (item, model, _tier_rows(tier, tier_grid, model))
+            for item in checkable
+            for model in models
+        ]
+        _sweep(report, sweep.compare, tasks, tier.mode, tier.budget, registry, jobs, verbose)
+        reports.append(report)
+    return reports
+
+
+def _tier_rows(tier: Tier, tier_grid: GridConfig, model: Model) -> int:
+    if tier.wide_rows is not None and len(model.domain) > 2:
+        return min(tier.wide_rows, tier_grid.max_rows)
+    return tier_grid.max_rows
+
+
+def _vars(grid: GridConfig) -> tuple[str, ...]:
+    return ("x", "y")[: grid.max_vars]
+
+
+def _formulas(atoms: Sequence[str], **caps) -> Callable[..., list[Formula]]:
+    """The corpus builder of `generate_formulas` over `atoms` at the
+    suite grid's depth."""
+
+    def build(grid, registry, signature):
+        return generate_formulas(atoms, signature, grid.max_depth, _vars(grid), registry, **caps)
+
+    return build
+
+
+def _translation_corpus(grid, registry, signature, atoms):
+    items = []
+    for phi in generate_formulas(atoms, signature, grid.max_depth, _vars(grid), registry):
+        xs = _fv_tuple(phi)
+        result = translate(phi, xs, registry)
+        items.append((phi, xs, result.sentence, result.relation))
+    return items
+
+
+def _possibility_corpus(grid, registry, signature):
+    """Possibility of every body of a depth-two corpus, with its
+    two-constant-witness expansion."""
+    bodies = generate_formulas(
+        POSSIBILITY_ATOMS, signature, min(2, grid.max_depth), _vars(grid), registry,
+        binary_cap=3, mix_cap=2, quant_cap=2,
+    )
+    phis = [Possibly(body) for body in bodies]
+    return [(phi, desugar_possibility(phi), _free(phi)) for phi in phis]
+
+
+def _quantifier_free(phi: Formula) -> bool:
+    return not any(
+        isinstance(node, (Exists, Forall, Possibly)) for node in subformulas(phi)
+    )
+
+
+def _definability_corpus(grid, registry, signature):
+    """Unit-width instances of the two definable negative atoms, including
+    collapsed variable patterns, with their expansions."""
+    instances = [
+        DepAtom("nonincl", (("x",), ("y",))),
+        DepAtom("nonincl", (("y",), ("x",))),
+        DepAtom("noncindep", (("x",), ("y",), ("z",))),
+        DepAtom("noncindep", (("x",), ("y",), ("y",))),
+        DepAtom("noncindep", (("x",), ("y",), ("x",))),
+        DepAtom("noncindep", (("x",), ("x",), ("y",))),
+    ]
+    return [(atom, desugar_negated_atoms(atom), _free(atom)) for atom in instances]
+
+
+def _isomorphism_corpus(grid, registry, signature):
+    formulas = generate_formulas(
+        LOCALITY_ATOMS, signature, min(2, grid.max_depth), _vars(grid), registry,
+        binary_cap=3, mix_cap=2, quant_cap=2,
+    )
+    return _spread(formulas, 12)
+
+
+def _unbounded(phi: Formula, registry: AtomRegistry | None) -> bool:
+    return compute_height(phi, registry).value is None
+
+
+SWEEPS: dict[str, Sweep] = {
+    sweep.name: sweep
+    for sweep in (
+        Sweep("translation", _translation_corpus, _translation, (
+            Tier("fast", "fast"),
+            Tier("oracle", "oracle", rows=2, budget=DEFAULT_COST_BUDGET),
+        )),
+        Sweep("flatness", _formulas(()), _flatness, (
+            Tier("fast", "fast"),
+            Tier("oracle", "oracle", rows=3, budget=DEFAULT_COST_BUDGET),
+        )),
+        Sweep("locality", _formulas(LOCALITY_ATOMS, binary_cap=4, mix_cap=2, quant_cap=3), _locality, (
+            Tier("oracle", "oracle", wide_rows=2, budget=DEFAULT_COST_BUDGET),
+            Tier("naive", "naive", rows=2, budget=DEFAULT_COST_BUDGET),
+        )),
+        Sweep("upflat", _formulas(UPWARD_ATOMS), _upflat, (
+            Tier("fast", "fast"),
+            Tier("oracle", "oracle", rows=3, budget=DEFAULT_COST_BUDGET),
+        )),
+        Sweep("height", _formulas(BOUNDED_ATOMS), _height, (
+            Tier("fast", "fast", skip=_unbounded),
+        )),
+        Sweep("possibility", _possibility_corpus, _equivalence, (
+            Tier("fast", "fast"),
+            Tier("oracle-vs-fast", ("oracle", "fast"), budget=DEFAULT_COST_BUDGET),
+            Tier("naive-1row", "naive", rows=1, only=lambda item: _quantifier_free(item[0].body)),
+        )),
+        # the two-row naive tier affords the single-quantifier expansion but
+        # not the triple-quantifier one (whose points it skips by estimate);
+        # on one-row teams exhaustion is cheap enough to run everything ungated
+        Sweep("definability", _definability_corpus, _equivalence, (
+            Tier("fast", "fast"),
+            Tier("naive-2rows", "naive", rows=2, budget=DEFAULT_COST_BUDGET),
+            Tier("naive-1row", "naive", rows=1),
+        )),
+        Sweep("isomorphism", _isomorphism_corpus, _isomorphism, (
+            Tier("fast", "fast", wide_rows=2),
+        )),
+    )
+}
 
 
 def run_translation_suite(
@@ -938,48 +1057,7 @@ def run_translation_suite(
     """Team satisfaction against compiled sentences over the whole corpus:
     the broad tier covers the full grid with the fast evaluator, the
     independence tier re-runs affordable points on the oracle path."""
-    grid = grid or DEFAULT_GRID
-    signature = {"P": 1} if signature is None else signature
-    vars = ("x", "y")[: grid.max_vars]
-    corpus = generate_formulas(atoms, signature, grid.max_depth, vars, registry)
-    translations = {}
-    for phi in corpus:
-        xs = _fv_tuple(phi)
-        result = translate(phi, xs, registry)
-        translations[phi] = (xs, result.sentence, result.relation)
-
-    reports = []
-    tiers = [
-        ("fast", grid, None),
-        ("oracle", GridConfig((2,), min(2, grid.max_rows), grid.max_depth, grid.max_vars), DEFAULT_COST_BUDGET),
-    ]
-    for mode, tier_grid, budget in tiers:
-        report = _corpus_report(
-            "translation", mode, tier_grid, len(corpus), mode, {"atoms": list(atoms)}
-        )
-        report.records = [] if verbose else None
-        _sweep_corpus(
-            report,
-            _translation_task,
-            lambda phi, model, m=mode, g=tier_grid, b=budget: (
-                phi,
-                translations[phi][0],
-                translations[phi][1],
-                translations[phi][2],
-                model,
-                g.max_rows,
-                registry,
-                m,
-                b,
-                verbose,
-            ),
-            corpus,
-            signature,
-            tier_grid,
-            jobs,
-        )
-        reports.append(report)
-    return reports
+    return _run_suite(SWEEPS["translation"], grid, registry, jobs, verbose, signature, atoms=atoms)
 
 
 def run_flatness_suite(
@@ -991,31 +1069,7 @@ def run_flatness_suite(
 ) -> list[Report]:
     """Team satisfaction of first-order formulas equals satisfaction by
     every assignment separately."""
-    grid = grid or DEFAULT_GRID
-    signature = {"P": 1} if signature is None else signature
-    vars = ("x", "y")[: grid.max_vars]
-    corpus = generate_formulas((), signature, grid.max_depth, vars, registry)
-    reports = []
-    tiers = [
-        ("fast", grid, None),
-        ("oracle", GridConfig((2,), min(3, grid.max_rows), grid.max_depth, grid.max_vars), DEFAULT_COST_BUDGET),
-    ]
-    for mode, tier_grid, budget in tiers:
-        report = _corpus_report("flatness", mode, tier_grid, len(corpus), mode)
-        report.records = [] if verbose else None
-        _sweep_corpus(
-            report,
-            _flatness_task,
-            lambda phi, model, m=mode, g=tier_grid, b=budget: (
-                phi, model, g.max_rows, m, b, verbose
-            ),
-            corpus,
-            signature,
-            tier_grid,
-            jobs,
-        )
-        reports.append(report)
-    return reports
+    return _run_suite(SWEEPS["flatness"], grid, registry, jobs, verbose, signature)
 
 
 def run_locality_suite(
@@ -1032,33 +1086,7 @@ def run_locality_suite(
     check circular, so both tiers run pruning-disabled modes; the
     three-element tier caps teams at two rows for cost.
     """
-    grid = grid or DEFAULT_GRID
-    signature = {"P": 1} if signature is None else signature
-    vars = ("x", "y")[: grid.max_vars]
-    corpus = generate_formulas(
-        LOCALITY_ATOMS, signature, grid.max_depth, vars, registry,
-        binary_cap=4, mix_cap=2, quant_cap=3,
-    )
-    reports = []
-    for mode in ("oracle", "naive"):
-        tier_grid = grid if mode == "oracle" else GridConfig(
-            (2,), min(2, grid.max_rows), grid.max_depth, grid.max_vars
-        )
-        report = _corpus_report("locality", mode, tier_grid, len(corpus), mode)
-        report.records = [] if verbose else None
-        _sweep_corpus(
-            report,
-            _locality_task,
-            lambda phi, model, m=mode, g=tier_grid: (
-                phi, model, g.max_rows, registry, m, DEFAULT_COST_BUDGET, verbose
-            ),
-            corpus,
-            signature,
-            tier_grid,
-            jobs,
-        )
-        reports.append(report)
-    return reports
+    return _run_suite(SWEEPS["locality"], grid, registry, jobs, verbose, signature)
 
 
 def run_upflat_suite(
@@ -1071,31 +1099,7 @@ def run_upflat_suite(
     """Over upwards closed atoms: satisfaction forces the flattening
     pointwise, and a satisfying subteam plus a pointwise-flat superteam
     force the superteam to satisfy (every subteam pair is enumerated)."""
-    grid = grid or DEFAULT_GRID
-    signature = {"P": 1} if signature is None else signature
-    vars = ("x", "y")[: grid.max_vars]
-    corpus = generate_formulas(UPWARD_ATOMS, signature, grid.max_depth, vars, registry)
-    reports = []
-    tiers = [
-        ("fast", grid, None),
-        ("oracle", GridConfig((2,), min(3, grid.max_rows), grid.max_depth, grid.max_vars), DEFAULT_COST_BUDGET),
-    ]
-    for mode, tier_grid, budget in tiers:
-        report = _corpus_report("upflat", mode, tier_grid, len(corpus), mode)
-        report.records = [] if verbose else None
-        _sweep_corpus(
-            report,
-            _upflat_task,
-            lambda phi, model, m=mode, g=tier_grid, b=budget: (
-                phi, model, g.max_rows, registry, m, b, verbose
-            ),
-            corpus,
-            signature,
-            tier_grid,
-            jobs,
-        )
-        reports.append(report)
-    return reports
+    return _run_suite(SWEEPS["upflat"], grid, registry, jobs, verbose, signature)
 
 
 def run_height_suite(
@@ -1108,34 +1112,7 @@ def run_height_suite(
     """Every satisfying grid triple with a finite height yields a witness
     subteam within the bound (constancy atoms included in the corpus;
     formulas containing totality have no bound and are counted skipped)."""
-    grid = grid or DEFAULT_GRID
-    signature = {"P": 1} if signature is None else signature
-    vars = ("x", "y")[: grid.max_vars]
-    corpus = generate_formulas(BOUNDED_ATOMS, signature, grid.max_depth, vars, registry)
-    report = _corpus_report("height", "fast", grid, len(corpus), "fast")
-    report.records = [] if verbose else None
-    bounded = []
-    for phi in corpus:
-        if compute_height(phi, registry).value is None:
-            report.skipped += 1
-        else:
-            bounded.append(phi)
-    _sweep_corpus(
-        report,
-        _height_task,
-        lambda phi, model: (phi, model, grid.max_rows, registry, "fast", verbose),
-        bounded,
-        signature,
-        grid,
-        jobs,
-    )
-    return [report]
-
-
-def _quantifier_free(phi: Formula) -> bool:
-    return not any(
-        isinstance(node, (Exists, Forall, Possibly)) for node in subformulas(phi)
-    )
+    return _run_suite(SWEEPS["height"], grid, registry, jobs, verbose, signature)
 
 
 def run_possibility_suite(
@@ -1154,58 +1131,7 @@ def run_possibility_suite(
     and a fully pruning-disabled naive tier, which exhaustion makes
     affordable only for quantifier-free bodies on one-row teams.
     """
-    grid = grid or DEFAULT_GRID
-    signature = {"P": 1} if signature is None else signature
-    vars = ("x", "y")[: grid.max_vars]
-    bodies = generate_formulas(
-        POSSIBILITY_ATOMS, signature, min(2, grid.max_depth), vars, registry,
-        binary_cap=3, mix_cap=2, quant_cap=2,
-    )
-    pairs = [(Possibly(body), desugar_possibility(Possibly(body))) for body in bodies]
-    qf_pairs = [(phi, psi) for phi, psi in pairs if _quantifier_free(phi.body)]
-    reports = []
-    tiers = [
-        ("fast", "fast", grid, pairs, None),
-        ("oracle-vs-fast", ("oracle", "fast"), grid, pairs, DEFAULT_COST_BUDGET),
-        (
-            "naive-1row",
-            "naive",
-            GridConfig((2,), min(1, grid.max_rows), grid.max_depth, grid.max_vars),
-            qf_pairs,
-            None,
-        ),
-    ]
-    for tier, modes, tier_grid, tier_pairs, budget in tiers:
-        report = _corpus_report(
-            "possibility",
-            tier,
-            tier_grid,
-            len(tier_pairs),
-            modes if isinstance(modes, str) else "/".join(modes),
-        )
-        report.records = [] if verbose else None
-        models = _grid_models(signature, tier_grid)
-        tasks = [
-            (
-                phi,
-                psi,
-                model,
-                tuple(sorted(free_variables(phi))),
-                tier_grid.max_rows,
-                registry,
-                modes,
-                budget,
-                verbose,
-            )
-            for phi, psi in tier_pairs
-            for model in models
-        ]
-        started = time.monotonic()
-        partials = _run_tasks(_equivalence_task, tasks, jobs)
-        _merge(report, partials)
-        report.elapsed = time.monotonic() - started
-        reports.append(report)
-    return reports
+    return _run_suite(SWEEPS["possibility"], grid, registry, jobs, verbose, signature)
 
 
 def run_definability_suite(
@@ -1216,50 +1142,7 @@ def run_definability_suite(
 ) -> list[Report]:
     """The two definable negative atoms against their expansions, on
     unit-width instances including collapsed variable patterns."""
-    grid = grid or DEFAULT_GRID
-    instances = [
-        DepAtom("nonincl", (("x",), ("y",))),
-        DepAtom("nonincl", (("y",), ("x",))),
-        DepAtom("noncindep", (("x",), ("y",), ("z",))),
-        DepAtom("noncindep", (("x",), ("y",), ("y",))),
-        DepAtom("noncindep", (("x",), ("y",), ("x",))),
-        DepAtom("noncindep", (("x",), ("x",), ("y",))),
-    ]
-    pairs = [(atom, desugar_negated_atoms(atom)) for atom in instances]
-    reports = []
-    # the wider naive tier affords the single-quantifier expansion but not
-    # the triple-quantifier one (whose points it skips by estimate); on
-    # one-row teams exhaustion is cheap enough to run everything ungated
-    tiers = [
-        ("fast", "fast", grid, None),
-        ("naive-2rows", "naive", GridConfig((2,), min(2, grid.max_rows), grid.max_depth, grid.max_vars), DEFAULT_COST_BUDGET),
-        ("naive-1row", "naive", GridConfig((2,), min(1, grid.max_rows), grid.max_depth, grid.max_vars), None),
-    ]
-    for tier, mode, tier_grid, budget in tiers:
-        report = _corpus_report("definability", tier, tier_grid, len(instances), mode)
-        report.records = [] if verbose else None
-        models = _grid_models({}, tier_grid)
-        tasks = [
-            (
-                atom,
-                macro,
-                model,
-                tuple(sorted(free_variables(atom))),
-                tier_grid.max_rows,
-                registry,
-                mode,
-                budget,
-                verbose,
-            )
-            for atom, macro in pairs
-            for model in models
-        ]
-        started = time.monotonic()
-        partials = _run_tasks(_equivalence_task, tasks, jobs)
-        _merge(report, partials)
-        report.elapsed = time.monotonic() - started
-        reports.append(report)
-    return reports
+    return _run_suite(SWEEPS["definability"], grid, registry, jobs, verbose, {})
 
 
 def run_isomorphism_suite(
@@ -1272,28 +1155,7 @@ def run_isomorphism_suite(
     """Renaming domain elements never changes a verdict (dependencies are
     closed under isomorphisms); three-element models are spot-checked at
     two rows, two-element models in full."""
-    grid = grid or DEFAULT_GRID
-    signature = {"P": 1} if signature is None else signature
-    vars = ("x", "y")[: grid.max_vars]
-    corpus = _spread(
-        generate_formulas(
-            LOCALITY_ATOMS, signature, min(2, grid.max_depth), vars, registry,
-            binary_cap=3, mix_cap=2, quant_cap=2,
-        ),
-        12,
-    )
-    report = _corpus_report("isomorphism", "fast", grid, len(corpus), "fast")
-    report.records = [] if verbose else None
-    _sweep_corpus(
-        report,
-        _iso_task,
-        lambda phi, model: (phi, model, grid.max_rows, registry, "fast", verbose),
-        corpus,
-        signature,
-        grid,
-        jobs,
-    )
-    return [report]
+    return _run_suite(SWEEPS["isomorphism"], grid, registry, jobs, verbose, signature)
 
 
 THEOREM_SUITES: dict[str, Callable[..., list[Report]]] = {

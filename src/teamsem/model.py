@@ -24,6 +24,7 @@ from .syntax import (
     RelLit,
     Term,
     Var,
+    count_nodes,
 )
 
 
@@ -427,8 +428,6 @@ def compile_fo(
 
             return all_fn
         raise EvalError(f"not a first-order formula: {node}")
-
-    from .syntax import count_nodes  # local import to avoid hard dependency at top
 
     max_depth = n_slots + count_nodes(phi)  # loose upper bound on quantifier depth
     fn = comp(phi, n_slots)

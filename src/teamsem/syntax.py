@@ -482,46 +482,6 @@ def substitute_vars(
     return walk(phi, dict(mapping))
 
 
-def freshen_bound(phi: Formula, fresh: FreshNames) -> Formula:
-    """Rename every bound variable to a fresh name (keeps free ones)."""
-
-    def walk(node: Formula, env: dict[str, str]) -> Formula:
-        if isinstance(node, BoolLit):
-            return node
-        if isinstance(node, RelLit):
-            return RelLit(
-                node.name,
-                node.positive,
-                tuple(Var(env.get(t.name, t.name)) if isinstance(t, Var) else t for t in node.args),
-            )
-        if isinstance(node, EqLit):
-            left, right = (
-                Var(env.get(t.name, t.name)) if isinstance(t, Var) else t
-                for t in (node.left, node.right)
-            )
-            return EqLit(node.positive, left, right)
-        if isinstance(node, DepAtom):
-            return DepAtom(
-                node.name,
-                tuple(tuple(env.get(v, v) for v in g) for g in node.groups),
-                node.param,
-            )
-        if isinstance(node, Or):
-            return Or(walk(node.left, env), walk(node.right, env))
-        if isinstance(node, And):
-            return And(walk(node.left, env), walk(node.right, env))
-        if isinstance(node, (Exists, Forall)):
-            renamed = fresh.fresh()
-            return type(node)(renamed, walk(node.body, {**env, node.var: renamed}))
-        if isinstance(node, Possibly):
-            return Possibly(walk(node.body, env))
-        if isinstance(node, RestrictedBy):
-            return RestrictedBy(walk(node.body, env), walk(node.guard, env))
-        raise SyntaxViolation(f"unknown node {node!r}")
-
-    return walk(phi, {})
-
-
 # ---------------------------------------------------------------------------
 # Concrete grammar
 #

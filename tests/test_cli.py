@@ -210,6 +210,49 @@ def test_check_equiv_reads_grid_from_env(capsys, monkeypatch):
     assert summary["params"]["grid"]["max_rows"] == 2
 
 
+def _stdout_per_jobs(capsys, argv):
+    """Exit code and stdout of `argv` with one and with two workers."""
+    runs = []
+    for jobs in ("1", "2"):
+        runs.append((main(argv + ["--jobs", jobs]), capsys.readouterr().out))
+    return runs
+
+
+def test_translate_verify_in_parallel_matches_serial(capsys):
+    # the default registry holds closures, which workers could not be sent
+    argv = ["translate", "NE", "--verify", "--grid", "doms=2,3;max_rows=2"]
+    (serial_code, serial_out), (parallel_code, parallel_out) = _stdout_per_jobs(capsys, argv)
+    assert serial_code == parallel_code == 0
+    assert parallel_out == serial_out
+
+
+def test_check_equiv_with_custom_atom_in_parallel_matches_serial(capsys, tmp_path):
+    path = atom_file(
+        tmp_path,
+        "has_pair",
+        {
+            "name": "has_pair",
+            "arity": 2,
+            "definition": "E u. E w. R(u, w) /\\ u != w",
+            "upwards_closed": True,
+        },
+    )
+    argv = [
+        "check", "equiv", "has_pair(x, y)", "has_pair(x, y) /\\ T",
+        "--atoms", path, "--grid", MICRO_GRID, "--verbose",
+    ]
+    (serial_code, serial_out), (parallel_code, parallel_out) = _stdout_per_jobs(capsys, argv)
+    assert serial_code == parallel_code == 0
+    assert parallel_out == serial_out
+    assert len(serial_out.splitlines()) > 1  # the verbose records came through
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_below_one_is_a_usage_error(capsys, jobs):
+    assert main(["check", "equiv", "NE", "T", "--jobs", jobs]) == 2
+    assert "jobs must be at least 1" in capsys.readouterr().err
+
+
 def test_check_theorem_micro_grid(capsys):
     assert main(["check", "theorem", "isomorphism", "--grid", MICRO_GRID]) == 0
     reports = [json.loads(line) for line in capsys.readouterr().out.splitlines()]

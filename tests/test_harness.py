@@ -1,6 +1,7 @@
 """Grid enumeration, formula generation, and the equivalence checkers."""
 
 import json
+import os
 
 import pytest
 
@@ -259,6 +260,26 @@ def test_reports_invariant_under_jobs():
     a = check_formula_equivalence(parse("NE"), parse("NE /\\ T"), **kw, jobs=1)
     b = check_formula_equivalence(parse("NE"), parse("NE /\\ T"), **kw, jobs=2)
     assert list(a.json_lines()) == list(b.json_lines())
+
+
+def test_jobs_are_capped_at_the_cpu_count(monkeypatch):
+    import multiprocessing
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+    kw = dict(grid=MICRO, signature={"P": 1}, vars=("x",), verbose=True)  # four models
+    capped = check_formula_equivalence(parse("NE"), parse("NE /\\ T"), **kw, jobs=10**6)
+    serial = check_formula_equivalence(parse("NE"), parse("NE /\\ T"), **kw, jobs=1)
+    assert list(capped.json_lines(verbose=True)) == list(serial.json_lines(verbose=True))
+
+
+@pytest.mark.parametrize("jobs", [0, -2])
+def test_jobs_below_one_are_rejected(jobs):
+    with pytest.raises(HarnessError, match="jobs must be at least 1"):
+        run_isomorphism_suite(grid=MICRO, jobs=jobs)
 
 
 # --- suites ----------------------------------------------------------------------------------

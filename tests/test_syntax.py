@@ -25,7 +25,6 @@ from teamsem.syntax import (
     flatten,
     formula_signature,
     free_variables,
-    freshen_bound,
     is_clean,
     is_first_order,
     negate_fo,
@@ -224,12 +223,6 @@ def test_substitute_capture_avoidance():
     # The binder must be renamed so the substituted y stays free.
     assert free_variables(got) == {"y"}
     assert got != parse("E y. y = y")
-
-
-def test_freshen_bound():
-    got = freshen_bound(parse("E y. P(y) /\\ x = y"), FreshNames(["x", "y"]))
-    assert free_variables(got) == {"x"}
-    assert "_v" in pretty(got)
 
 
 def test_negate_fo():
