@@ -19,21 +19,7 @@ from itertools import combinations
 from .atoms import AtomRegistry, DEFAULT_REGISTRY
 from .evaluator import Evaluator
 from .model import Model, SINGLETON_EMPTY_TEAM, Team, duplicate
-from .syntax import (
-    And,
-    BoolLit,
-    DepAtom,
-    EqLit,
-    Exists,
-    Forall,
-    Formula,
-    Or,
-    Possibly,
-    RelLit,
-    RestrictedBy,
-    free_variables,
-    pretty,
-)
+from .syntax import DepAtom, Formula, Possibly, free_variables, pretty, subformulas
 
 
 class AnalysisError(Exception):
@@ -85,10 +71,11 @@ def compute_height(phi: Formula, registry: AtomRegistry | None = None) -> Height
     """
     reg = registry or DEFAULT_REGISTRY
     parts: list[tuple[str, int | None]] = []
-
-    def walk(node: Formula) -> None:
-        if isinstance(node, (BoolLit, RelLit, EqLit)):
-            return
+    for node in subformulas(phi):
+        if isinstance(node, Possibly):
+            raise AnalysisError(
+                "height is not defined on possibility directly; desugar it first"
+            )
         if isinstance(node, DepAtom):
             d = reg.resolve_atom(node)
             if d.name != "const" and not d.upwards_closed:
@@ -97,24 +84,6 @@ def compute_height(phi: Formula, registry: AtomRegistry | None = None) -> Height
                     f"atoms; {pretty(node)} is neither"
                 )
             parts.append((pretty(node), d.bound))
-            return
-        if isinstance(node, (And, Or)):
-            walk(node.left)
-            walk(node.right)
-            return
-        if isinstance(node, (Exists, Forall)):
-            walk(node.body)
-            return
-        if isinstance(node, RestrictedBy):
-            walk(node.body)
-            return
-        if isinstance(node, Possibly):
-            raise AnalysisError(
-                "height is not defined on possibility directly; desugar it first"
-            )
-        raise AnalysisError(f"cannot analyze node {node!r}")
-
-    walk(phi)
     if any(b is None for _, b in parts):
         return Height(None, tuple(parts))
     return Height(sum(b for _, b in parts), tuple(parts))
@@ -241,7 +210,7 @@ def analyze(
         satisfied = ev.evaluate(phi, team)
         report["satisfied"] = satisfied
         if satisfied and height.value is not None:
-            witness = find_small_witness(model, team, phi, registry)
+            witness = find_small_witness(model, team, phi, registry, evaluator=ev)
             report["witness"] = json.loads(witness.to_json())
             report["witness_size"] = len(witness.rows)
     return report

@@ -23,7 +23,7 @@ counterexample), even though constancy is harmless in other pipelines.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .atoms import AtomRegistry, DEFAULT_REGISTRY, eval_atom
 from .model import (
@@ -53,7 +53,7 @@ from .syntax import (
     RestrictedBy,
     flatten,
     free_variables,
-    negate_fo,
+    restrict,
 )
 
 MODES = ("naive", "oracle", "fast")
@@ -229,7 +229,7 @@ class Evaluator:
     def _expand_restriction(self, node: RestrictedBy) -> Formula:
         got = self._expansion.get(id(node))
         if got is None:
-            got = Or(negate_fo(node.guard), And(node.guard, node.body))
+            got = restrict(node.body, node.guard)
             self._expansion[id(node)] = got
         return got
 

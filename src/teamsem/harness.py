@@ -514,9 +514,9 @@ def _fv_tuple(phi: Formula) -> tuple[str, ...]:
 #
 # A comparison walks the teams of one (item, model) pair, given the tier's
 # row cap, its pair of modes and the atom registry.  It is a generator: the
-# first yield lists the (formula, mode) pairs the cost budget is checked
-# against, and the runner stops it there when an estimate is over budget.
-# Every later yield is a Point.
+# first yield lists the (formula, mode) pairs it evaluates, and the runner
+# stops it there when the cost estimate of a side not in `fast` mode is over
+# budget.  Every later yield is a Point.
 
 class Point(NamedTuple):
     """What one comparison step adds to its report.  `record` holds the
@@ -542,7 +542,7 @@ def _equivalence(item, model, rows, modes, registry):
     item's variables."""
     phi, psi, vars = item
     mode_l, mode_r = modes
-    yield [(f, m) for f, m in ((phi, mode_l), (psi, mode_r)) if m != "fast"]
+    yield [(phi, mode_l), (psi, mode_r)]
     ev_l = Evaluator(model, registry=registry, mode=mode_l)
     ev_r = ev_l if mode_r == mode_l else Evaluator(model, registry=registry, mode=mode_r)
     extra = {"left": phi, "right": psi, "modes": [mode_l, mode_r]}
@@ -725,14 +725,16 @@ def _sweep(
 ) -> Report:
     """Run `compare` on every (item, model, rows) task and add the counts
     and records to `report` in task order.  A task whose cost estimate is
-    over `budget` counts as one skipped point."""
+    over `budget` counts as one skipped point; sides evaluated in `fast`
+    mode are never gated."""
     modes = (mode, mode) if isinstance(mode, str) else tuple(mode)
 
     def run(item, model: Model, rows: int) -> tuple:
         points = compare(item, model, rows, modes, registry)
         sides = next(points)
         if budget is not None and budget < max(
-            (eval_cost_estimate(f, len(model.domain), rows, m) for f, m in sides), default=0.0
+            (eval_cost_estimate(f, len(model.domain), rows, m) for f, m in sides if m != "fast"),
+            default=0.0,
         ):
             return 0, 1, [], []
         checked, skipped, mismatches, records = 0, 0, [], []

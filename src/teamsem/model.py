@@ -23,7 +23,6 @@ from .syntax import (
     Or,
     RelLit,
     Term,
-    Var,
     count_nodes,
 )
 
@@ -161,12 +160,6 @@ class Team:
         )
 
 
-def team_from_mappings(vars: Iterable[str], assignments: Iterable[Mapping[str, str]]) -> Team:
-    vs = tuple(vars)
-    return Team(vs, frozenset(tuple(a[v] for v in vs) for a in assignments))
-
-
-EMPTY_DOMAIN_TEAM = Team((), frozenset())          # no assignments at all
 SINGLETON_EMPTY_TEAM = Team((), frozenset({()}))   # the single empty assignment
 
 
@@ -176,13 +169,7 @@ SINGLETON_EMPTY_TEAM = Team((), frozenset({()}))   # the single empty assignment
 
 def team_restrict(team: Team, vars: tuple[str, ...]) -> Team:
     """Restrict every assignment to `vars` (dropping duplicates)."""
-    idx = []
-    for v in vars:
-        try:
-            idx.append(team.vars.index(v))
-        except ValueError:
-            raise EvalError(f"variable {v} is not in the team domain {team.vars}")
-    return Team(vars, frozenset(tuple(r[i] for i in idx) for r in team.rows))
+    return Team(vars, team_project(team, vars))
 
 
 def team_project(team: Team, vars: tuple[str, ...]) -> frozenset[Row]:

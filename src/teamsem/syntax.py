@@ -9,7 +9,7 @@ first-class nodes so that they can be desugared or compiled later.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping
 
 
@@ -210,6 +210,21 @@ def subformulas(phi: Formula) -> Iterator[Formula]:
         yield from subformulas(phi.guard)
 
 
+def map_formula(phi: Formula, fn: Callable[[Formula], Formula]) -> Formula:
+    """Rebuild `phi` bottom-up and left to right, handing every node to
+    `fn` once its parts are rebuilt; `fn`'s result takes the node's place.
+    Rewrites that draw fresh names from `fn` draw them in that order."""
+    if isinstance(phi, (Or, And)):
+        phi = type(phi)(map_formula(phi.left, fn), map_formula(phi.right, fn))
+    elif isinstance(phi, (Exists, Forall)):
+        phi = type(phi)(phi.var, map_formula(phi.body, fn))
+    elif isinstance(phi, Possibly):
+        phi = Possibly(map_formula(phi.body, fn))
+    elif isinstance(phi, RestrictedBy):
+        phi = RestrictedBy(map_formula(phi.body, fn), map_formula(phi.guard, fn))
+    return fn(phi)
+
+
 def count_nodes(phi: Formula) -> int:
     return sum(1 for _ in subformulas(phi))
 
@@ -357,23 +372,15 @@ def negate_fo(phi: Formula) -> Formula:
 def flatten(phi: Formula) -> Formula:
     """The first-order flattening: dependency atoms and possibility nodes
     become T; restriction nodes flatten through their expansion."""
-    if isinstance(phi, (BoolLit, RelLit, EqLit)):
-        return phi
-    if isinstance(phi, DepAtom):
-        return TRUE
-    if isinstance(phi, Possibly):
-        return TRUE
-    if isinstance(phi, Or):
-        return Or(flatten(phi.left), flatten(phi.right))
-    if isinstance(phi, And):
-        return And(flatten(phi.left), flatten(phi.right))
-    if isinstance(phi, Exists):
-        return Exists(phi.var, flatten(phi.body))
-    if isinstance(phi, Forall):
-        return Forall(phi.var, flatten(phi.body))
-    if isinstance(phi, RestrictedBy):
-        return Or(negate_fo(phi.guard), And(phi.guard, flatten(phi.body)))
-    raise SyntaxViolation(f"unknown node {phi!r}")
+
+    def flat(node: Formula) -> Formula:
+        if isinstance(node, (DepAtom, Possibly)):
+            return TRUE
+        if isinstance(node, RestrictedBy):
+            return restrict(node.body, node.guard)
+        return node
+
+    return map_formula(phi, flat)
 
 
 def restrict(phi: Formula, theta: Formula) -> Formula:
@@ -389,33 +396,22 @@ def desugar_possibility(phi: Formula, fresh: FreshNames | None = None) -> Formul
     if fresh is None:
         fresh = FreshNames(all_variable_names(phi))
 
-    def walk(node: Formula) -> Formula:
-        if isinstance(node, Or):
-            return Or(walk(node.left), walk(node.right))
-        if isinstance(node, And):
-            return And(walk(node.left), walk(node.right))
-        if isinstance(node, Exists):
-            return Exists(node.var, walk(node.body))
-        if isinstance(node, Forall):
-            return Forall(node.var, walk(node.body))
-        if isinstance(node, RestrictedBy):
-            return RestrictedBy(walk(node.body), node.guard)
-        if isinstance(node, Possibly):
-            body = walk(node.body)
-            u0, u1, v = fresh.fresh(), fresh.fresh(), fresh.fresh()
-            inner = ands(
-                [
-                    DepAtom("const", ((u0,),)),
-                    DepAtom("const", ((u1,),)),
-                    Or(EqLit(True, Var(v), Var(u0)), EqLit(True, Var(v), Var(u1))),
-                    RestrictedBy(body, EqLit(True, Var(v), Var(u1))),
-                    DepAtom("inconst", ((v,),)),
-                ]
-            )
-            return Exists(u0, Exists(u1, Exists(v, inner)))
-        return node
+    def expand(node: Formula) -> Formula:
+        if not isinstance(node, Possibly):
+            return node
+        u0, u1, v = fresh.fresh(), fresh.fresh(), fresh.fresh()
+        inner = ands(
+            [
+                DepAtom("const", ((u0,),)),
+                DepAtom("const", ((u1,),)),
+                Or(EqLit(True, Var(v), Var(u0)), EqLit(True, Var(v), Var(u1))),
+                RestrictedBy(node.body, EqLit(True, Var(v), Var(u1))),
+                DepAtom("inconst", ((v,),)),
+            ]
+        )
+        return exists_chain((u0, u1, v), inner)
 
-    return walk(phi)
+    return map_formula(phi, expand)
 
 
 # ---------------------------------------------------------------------------
@@ -776,7 +772,6 @@ def parse(
 _PREC_QUANT = 0
 _PREC_OR = 1
 _PREC_AND = 2
-_PREC_ATOM = 3
 
 
 def pretty(phi: Formula) -> str:

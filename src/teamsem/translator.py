@@ -62,6 +62,7 @@ from .syntax import (
     free_variables,
     is_clean,
     is_first_order,
+    map_formula,
     negate_fo,
     neq_tuple,
     subformulas,
@@ -104,19 +105,7 @@ def desugar_negated_atoms(phi: Formula, fresh: FreshNames | None = None) -> Form
     if fresh is None:
         fresh = FreshNames(all_variable_names(phi))
 
-    def walk(node: Formula) -> Formula:
-        if isinstance(node, Or):
-            return Or(walk(node.left), walk(node.right))
-        if isinstance(node, And):
-            return And(walk(node.left), walk(node.right))
-        if isinstance(node, Exists):
-            return Exists(node.var, walk(node.body))
-        if isinstance(node, Forall):
-            return Forall(node.var, walk(node.body))
-        if isinstance(node, Possibly):
-            return Possibly(walk(node.body))
-        if isinstance(node, RestrictedBy):
-            return RestrictedBy(walk(node.body), node.guard)
+    def expand(node: Formula) -> Formula:
         if isinstance(node, DepAtom) and node.name == "nonincl":
             xs, ys = node.groups
             zs = fresh.fresh_many(len(xs))
@@ -147,7 +136,7 @@ def desugar_negated_atoms(phi: Formula, fresh: FreshNames | None = None) -> Form
             return exists_chain(ps + qs + rs, body)
         return node
 
-    return walk(phi)
+    return map_formula(phi, expand)
 
 
 # ---------------------------------------------------------------------------
@@ -166,30 +155,18 @@ def eliminate_constancy(
     supplementation, splits, and restriction, which is what makes the
     per-connective descent sound.  Possibility must be desugared first.
     """
+    prefix: list[str] = []
 
-    def walk(node: Formula) -> tuple[Formula, tuple[str, ...]]:
-        if isinstance(node, DepAtom) and node.name == "const":
-            ys = node.args
-            vs = fresh.fresh_many(len(ys))
-            eq = eq_tuple([Var(y) for y in ys], [Var(v) for v in vs])
-            return eq, vs
-        if isinstance(node, (BoolLit, RelLit, EqLit, DepAtom)):
-            return node, ()
-        if isinstance(node, (Or, And)):
-            left, vl = walk(node.left)
-            right, vr = walk(node.right)
-            return type(node)(left, right), vl + vr
-        if isinstance(node, (Exists, Forall)):
-            body, vs = walk(node.body)
-            return type(node)(node.var, body), vs
-        if isinstance(node, RestrictedBy):
-            body, vs = walk(node.body)
-            return RestrictedBy(body, node.guard), vs
+    def pin(node: Formula) -> Formula:
         if isinstance(node, Possibly):
             raise TranslationError("possibility must be desugared before constancy elimination")
-        raise TranslationError(f"cannot eliminate constancy under {node!r}")
+        if isinstance(node, DepAtom) and node.name == "const":
+            vs = fresh.fresh_many(len(node.args))
+            prefix.extend(vs)
+            return eq_tuple([Var(y) for y in node.args], [Var(v) for v in vs])
+        return node
 
-    return walk(phi)
+    return map_formula(phi, pin), tuple(prefix)
 
 
 # ---------------------------------------------------------------------------
@@ -300,16 +277,12 @@ def _fold_nullary(phi: Formula, name: str) -> Formula:
     """Replace 0-ary literals of `name` by their truth on a one-assignment
     team: positively T, negatively F."""
 
-    def walk(node: Formula) -> Formula:
+    def fold(node: Formula) -> Formula:
         if isinstance(node, RelLit) and node.name == name and not node.args:
             return TRUE if node.positive else FALSE
-        if isinstance(node, (Or, And)):
-            return type(node)(walk(node.left), walk(node.right))
-        if isinstance(node, (Exists, Forall)):
-            return type(node)(node.var, walk(node.body))
         return node
 
-    return walk(phi)
+    return map_formula(phi, fold)
 
 
 # ---------------------------------------------------------------------------
@@ -433,33 +406,29 @@ def simplify(phi: Formula) -> Formula:
     """Cheap bottom-up cleanup of translator output: boolean units, trivial
     equalities between identical terms, and quantifiers over dead or
     constant bodies.  Sound on models with nonempty domains."""
-    if isinstance(phi, EqLit):
-        if phi.left == phi.right:
-            return TRUE if phi.positive else FALSE
-        return phi
+    return map_formula(phi, _simplify_node)
+
+
+def _simplify_node(phi: Formula) -> Formula:
+    if isinstance(phi, EqLit) and phi.left == phi.right:
+        return TRUE if phi.positive else FALSE
     if isinstance(phi, Or):
-        left, right = simplify(phi.left), simplify(phi.right)
-        if left == TRUE or right == TRUE:
+        if TRUE in (phi.left, phi.right):
             return TRUE
-        if left == FALSE:
-            return right
-        if right == FALSE:
-            return left
-        return Or(left, right)
+        if phi.left == FALSE:
+            return phi.right
+        if phi.right == FALSE:
+            return phi.left
     if isinstance(phi, And):
-        left, right = simplify(phi.left), simplify(phi.right)
-        if left == FALSE or right == FALSE:
+        if FALSE in (phi.left, phi.right):
             return FALSE
-        if left == TRUE:
-            return right
-        if right == TRUE:
-            return left
-        return And(left, right)
+        if phi.left == TRUE:
+            return phi.right
+        if phi.right == TRUE:
+            return phi.left
     if isinstance(phi, (Exists, Forall)):
-        body = simplify(phi.body)
-        if isinstance(body, BoolLit) or phi.var not in free_variables(body):
-            return body
-        return type(phi)(phi.var, body)
+        if isinstance(phi.body, BoolLit) or phi.var not in free_variables(phi.body):
+            return phi.body
     return phi
 
 

@@ -213,6 +213,17 @@ def test_equivalence_budget_skips_are_counted():
     assert rep.ok  # skipping is not failure; it is reported
 
 
+def test_budget_never_gates_fast_sides():
+    # the oracle estimate of this formula is over the budget, but neither
+    # check evaluates it on the oracle path, so both check every point
+    phi = parse("E y. NE")
+    same = check_formula_equivalence(phi, phi, MICRO, signature={}, budget=1.0)
+    compiled = check_translation_equivalence(phi, (), MICRO, signature={}, budget=1.0)
+    assert (same.checked, same.skipped) == (2, 0)
+    assert (compiled.checked, compiled.skipped) == (1, 1)
+    assert compiled.ok
+
+
 def test_translation_equivalence_pass():
     rep = check_translation_equivalence(parse("NE"), ("x",), MICRO, signature={})
     assert rep.ok and rep.checked > 0
