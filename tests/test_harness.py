@@ -215,7 +215,9 @@ def test_equivalence_budget_skips_are_counted():
 
 def test_budget_never_gates_fast_sides():
     # the oracle estimate of this formula is over the budget, but neither
-    # check evaluates it on the oracle path, so both check every point
+    # check evaluates it on the oracle path, so neither skips it; the one
+    # skip of the translation check is the empty team, which a sentence
+    # over the empty tuple does not speak for
     phi = parse("E y. NE")
     same = check_formula_equivalence(phi, phi, MICRO, signature={}, budget=1.0)
     compiled = check_translation_equivalence(phi, (), MICRO, signature={}, budget=1.0)
