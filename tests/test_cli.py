@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from teamsem import Model, Relation, Team
-from teamsem.cli import main
+from teamsem import Model, Relation, Team, parse
+from teamsem.cli import _ast_dict, main
 
 MICRO_GRID = "doms=2;max_rows=2"
 
@@ -50,6 +50,59 @@ def test_parse_json_ast(capsys):
     assert info["first_order"] is True
     assert info["ast"]["node"] == "exists"
     assert info["ast"]["body"]["node"] == "relation"
+
+
+# Every node kind, both literal signs, a parameterized and a three-group atom.
+_EVERY_NODE = (
+    "A x. E y. (P(x, y) \\/ !Q(x)) /\\ x = y /\\ x != z /\\ T /\\ (F \\/ NE) "
+    "/\\ poss(dep(x; y)) /\\ restrict(big(3; x, y) ; P(x, z)) /\\ cindep(x; y | z)"
+)
+_EVERY_NODE_JSON = (
+    '{"ast": {"body": {"body": {"left": {"left": {"left": {"left": {"left": {'
+    '"left": {"left": {"left": {"args": [{"var": "x"}, {"var": "y"}], '
+    '"name": "P", "node": "relation", "positive": true}, "node": "or", '
+    '"right": {"args": [{"var": "x"}], "name": "Q", "node": "relation", '
+    '"positive": false}}, "node": "and", "right": {"left": {"var": "x"}, '
+    '"node": "equality", "positive": true, "right": {"var": "y"}}}, '
+    '"node": "and", "right": {"left": {"var": "x"}, "node": "equality", '
+    '"positive": false, "right": {"var": "z"}}}, "node": "and", '
+    '"right": {"node": "bool", "value": true}}, "node": "and", '
+    '"right": {"left": {"node": "bool", "value": false}, "node": "or", '
+    '"right": {"groups": [], "name": "NE", "node": "atom", "param": null}}}, '
+    '"node": "and", "right": {"body": {"groups": [["x"], ["y"]], '
+    '"name": "dep", "node": "atom", "param": null}, "node": "possibly"}}, '
+    '"node": "and", "right": {"body": {"groups": [["x", "y"]], '
+    '"name": "big", "node": "atom", "param": 3}, '
+    '"guard": {"args": [{"var": "x"}, {"var": "z"}], "name": "P", '
+    '"node": "relation", "positive": true}, "node": "restricted"}}, '
+    '"node": "and", "right": {"groups": [["x"], ["y"], ["z"]], '
+    '"name": "cindep", "node": "atom", "param": null}}, "node": "exists", '
+    '"var": "y"}, "node": "forall", "var": "x"}, "clean": false, '
+    '"first_order": false, "free_variables": ["z"], '
+    '"pretty": "A x. E y. (P(x, y) \\\\/ !Q(x)) /\\\\ x = y /\\\\ x != z /\\\\ T '
+    '/\\\\ (F \\\\/ NE) /\\\\ poss(dep(x; y)) /\\\\ restrict(big(3; x, y) ; P(x, z)) '
+    '/\\\\ cindep(x; y | z)", '
+    '"signature": {"P": 2, "Q": 1}}\n'
+)
+
+
+def test_parse_json_bytes(capsys):
+    assert main(["parse", _EVERY_NODE, "--json"]) == 0
+    assert capsys.readouterr().out == _EVERY_NODE_JSON
+
+
+def test_ast_dict_constants():
+    # The parse command reads no model, so constants reach the AST only
+    # through `parse(..., constants=...)`.
+    phi = parse("E y. R(c, y) /\\ c != y /\\ const(y)", constants=("c",))
+    assert json.dumps(_ast_dict(phi), sort_keys=True) == (
+        '{"body": {"left": {"left": {"args": [{"const": "c"}, {"var": "y"}], '
+        '"name": "R", "node": "relation", "positive": true}, "node": "and", '
+        '"right": {"left": {"const": "c"}, "node": "equality", '
+        '"positive": false, "right": {"var": "y"}}}, "node": "and", '
+        '"right": {"groups": [["y"]], "name": "const", "node": "atom", '
+        '"param": null}}, "node": "exists", "var": "y"}'
+    )
 
 
 def test_parse_error_exit_code(capsys):

@@ -1,11 +1,14 @@
 """Parser, pretty-printer, and formula-rewriting helpers."""
 
+import itertools
+
 from hypothesis import given
 from hypothesis import strategies as st
 
 import pytest
 
 from teamsem import ParseError, parse, pretty
+from teamsem.atoms import AtomError, AtomRegistry, BUILTIN_ATOM_NAMES, DEFAULT_REGISTRY
 from teamsem.syntax import (
     And,
     BoolLit,
@@ -19,6 +22,7 @@ from teamsem.syntax import (
     Possibly,
     RelLit,
     RestrictedBy,
+    SyntaxViolation,
     TRUE,
     Var,
     count_nodes,
@@ -105,6 +109,57 @@ def test_parse_unknown_callable_is_a_relation():
 def test_parse_errors(bad):
     with pytest.raises(ParseError):
         parse(bad)
+
+
+def _atom_text(name, groups, param):
+    """Concrete syntax for an atom occurrence of any shape, valid or not."""
+    if name == "NE" and not groups and param is None:
+        return "NE"
+    rendered = [", ".join(g) for g in groups]
+    inner = "; ".join(rendered[:2]) + "".join(f" | {r}" for r in rendered[2:])
+    return f"{name}({'' if param is None else f'{param}; '}{inner})"
+
+
+def _table_accepts(name, groups, param):
+    try:
+        DepAtom(name, groups, param)
+        DEFAULT_REGISTRY.resolve(name, tuple(len(g) for g in groups), param)
+    except (AtomError, SyntaxViolation):
+        return False
+    return True
+
+
+@pytest.mark.parametrize("name", BUILTIN_ATOM_NAMES)
+def test_parser_accepts_exactly_the_atom_table_shapes(name):
+    # Zero to three groups of width one or two, with and without a
+    # parameter: the parser rejects a shape exactly when the atom table
+    # does, and what it accepts prints back to itself.
+    for count in range(4):
+        for widths in itertools.product((1, 2), repeat=count):
+            groups = tuple(
+                tuple(f"{'xyz'[i]}{j}" for j in range(w)) for i, w in enumerate(widths)
+            )
+            for param in (None, 0, 1, 2):
+                text = _atom_text(name, groups, param)
+                if not _table_accepts(name, groups, param):
+                    with pytest.raises(ParseError):
+                        parse(text)
+                    continue
+                atom = parse(text)
+                assert atom == DepAtom(name, groups, param), text
+                assert parse(pretty(atom)) == atom
+
+
+def test_custom_atoms_parse_with_one_group_only():
+    reg = AtomRegistry()
+    reg.register_custom("pair", 2, parse("E x. E y. R(x, y)"), upwards_closed=True)
+    names = reg.known_names()
+    atom = parse("pair(x, y)", atom_names=names)
+    assert atom == DepAtom("pair", (("x", "y"),))
+    assert parse(pretty(atom), atom_names=names) == atom
+    for bad in ("pair(x; y)", "pair(x; y | z)", "pair(2; x, y)", "pair()", "pair"):
+        with pytest.raises(ParseError):
+            parse(bad, atom_names=names)
 
 
 def test_reserved_names_parse():
