@@ -35,25 +35,6 @@ from .syntax import (
 
 ATOM_REL = "R"  # the relation symbol used by defining sentences
 
-BUILTIN_ATOM_NAMES = (
-    "dep",
-    "const",
-    "excl",
-    "incl",
-    "indep",
-    "cindep",
-    "NE",
-    "intersect",
-    "inconst",
-    "big",
-    "total",
-    "nondep",
-    "nonexcl",
-    "nonincl",
-    "noncindep",
-)
-
-
 class AtomError(Exception):
     pass
 
@@ -386,6 +367,8 @@ _FAMILIES: dict[str, _Family] = {
     "noncindep": _Family(3, False, False, False, lambda p: 2, _direct_not(_direct_cindep), _fo_noncindep),
 }
 
+BUILTIN_ATOM_NAMES = tuple(_FAMILIES)
+
 
 class AtomRegistry:
     """Resolves atom occurrences to definitions; holds custom atoms."""
@@ -408,7 +391,7 @@ class AtomRegistry:
         if name in self._custom:
             d = self._custom[name]
             if group_widths != d.group_widths or param is not None:
-                raise AtomError(f"atom {name} expects {d.group_widths}, got {group_widths}")
+                raise AtomError(f"atom {name} takes one group of width {d.arity} and no parameter")
             return d
         fam = _FAMILIES.get(name)
         if fam is None:
@@ -448,37 +431,37 @@ class AtomRegistry:
     def resolve_atom(self, atom: DepAtom) -> AtomDefinition:
         return self.resolve(atom.name, tuple(len(g) for g in atom.groups), atom.param)
 
+    def unit(self, name: str, param: int | None = None) -> AtomDefinition:
+        """The catalog instance of atom `name`: one variable per argument
+        group (a custom atom at its registered arity), with parameter 2
+        when the atom takes one and none is given."""
+        custom = self._custom.get(name)
+        if custom is not None:
+            return self.resolve(name, custom.group_widths, param)
+        fam = _FAMILIES.get(name)
+        if fam is None:
+            raise AtomError(f"unknown atom {name}")
+        if fam.takes_param and param is None:
+            param = 2
+        return self.resolve(name, (1,) * fam.group_count, param)
+
     def catalog(self) -> list[dict]:
-        """One descriptive row per family/custom atom (unit-width instances)."""
+        """One descriptive row per built-in, then custom, atom (unit instances)."""
         rows = []
-        for name in BUILTIN_ATOM_NAMES:
-            fam = _FAMILIES[name]
-            widths = tuple([1] * fam.group_count)
-            d = self.resolve(name, widths, 2 if fam.takes_param else None)
-            rows.append(
-                {
-                    "name": name,
-                    "groups": fam.group_count,
-                    "parameterized": fam.takes_param,
-                    "upwards_closed": d.upwards_closed,
-                    "downwards_closed": d.downwards_closed,
-                    "bound": d.bound,
-                    "first_order_definition": str(d.fo_definition),
-                }
-            )
-        for name, d in sorted(self._custom.items()):
-            rows.append(
-                {
-                    "name": name,
-                    "groups": 1,
-                    "parameterized": False,
-                    "upwards_closed": d.upwards_closed,
-                    "downwards_closed": d.downwards_closed,
-                    "bound": d.bound,
-                    "first_order_definition": str(d.fo_definition),
-                    "verified": d.verified,
-                }
-            )
+        for name in BUILTIN_ATOM_NAMES + tuple(sorted(self._custom)):
+            d = self.unit(name)
+            row = {
+                "name": name,
+                "groups": len(d.group_widths),
+                "parameterized": d.param is not None,
+                "upwards_closed": d.upwards_closed,
+                "downwards_closed": d.downwards_closed,
+                "bound": d.bound,
+                "first_order_definition": str(d.fo_definition),
+            }
+            if name in self._custom:
+                row["verified"] = d.verified
+            rows.append(row)
         return rows
 
     def register_custom(
@@ -490,8 +473,6 @@ class AtomRegistry:
         bound: int | None = None,
         downwards_closed: bool = False,
         check: bool = True,
-        max_dom: int = 3,
-        max_rel: int = 4,
     ) -> AtomDefinition:
         """Register an atom given by a first-order sentence over R.
 
@@ -536,30 +517,21 @@ class AtomRegistry:
         )
         if check:
             if upwards_closed:
-                ce = check_upwards_closed(d, max_dom=max_dom, max_rel=max_rel)
+                ce = check_upwards_closed(d)
                 if ce is not None:
                     raise RegistrationError(
                         f"atom {name} is declared upwards closed but is not: {ce.describe()}",
                         ce,
                     )
             if downwards_closed:
-                ce = check_downwards_closed(d, max_dom=max_dom, max_rel=max_rel)
+                ce = check_downwards_closed(d)
                 if ce is not None:
                     raise RegistrationError(
                         f"atom {name} is declared downwards closed but is not: {ce.describe()}",
                         ce,
                     )
             if bound is not None:
-                # A false bound k is only refutable on relations of more
-                # than k tuples (and, for total-like atoms, more than k
-                # elements), so the boundedness scale must grow with the
-                # declared bound.
-                ce = check_boundedness(
-                    d,
-                    bound,
-                    max_dom=max(max_dom, bound + 1),
-                    max_rel=max(max_rel, bound + 1),
-                )
+                ce = check_boundedness(d, bound)
                 if ce is not None:
                     raise RegistrationError(
                         f"atom {name} is declared {bound}-bounded but is not: {ce.describe()}",

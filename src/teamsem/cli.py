@@ -11,6 +11,7 @@ reports are JSON lines as produced by the sweep harness.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Sequence
@@ -90,7 +91,7 @@ def _registry_from_files(paths: Sequence[str] | None) -> AtomRegistry:
     return registry
 
 
-def _register_file(registry: AtomRegistry, path: str) -> dict:
+def _register_file(registry: AtomRegistry, path: str) -> None:
     spec = json.loads(_load_text(path))
     if not isinstance(spec, dict):
         raise AtomError(f"{path}: atom files hold one JSON object")
@@ -111,10 +112,6 @@ def _register_file(registry: AtomRegistry, path: str) -> dict:
         downwards_closed=spec.get("downwards_closed", False),
         check=spec.get("check", True),
     )
-    for row in registry.catalog():
-        if row["name"] == name:
-            return row
-    raise AtomError(f"{path}: registration of {name} left no catalog row")
 
 
 def _parse_formula(text: str, registry: AtomRegistry, model: Model | None = None) -> Formula:
@@ -128,55 +125,31 @@ def _grid(args: argparse.Namespace) -> GridConfig:
     return grid_from_env()
 
 
-def _term_dict(term) -> dict:
-    if isinstance(term, Var):
-        return {"var": term.name}
-    if isinstance(term, Const):
-        return {"const": term.name}
-    raise SyntaxViolation(f"unknown term {term!r}")
+_AST_TAGS = {
+    BoolLit: "bool",
+    RelLit: "relation",
+    EqLit: "equality",
+    DepAtom: "atom",
+    Or: "or",
+    And: "and",
+    Exists: "exists",
+    Forall: "forall",
+    Possibly: "possibly",
+    RestrictedBy: "restricted",
+}
 
 
-def _ast_dict(phi: Formula) -> dict:
-    if isinstance(phi, BoolLit):
-        return {"node": "bool", "value": phi.value}
-    if isinstance(phi, RelLit):
-        return {
-            "node": "relation",
-            "name": phi.name,
-            "positive": phi.positive,
-            "args": [_term_dict(t) for t in phi.args],
-        }
-    if isinstance(phi, EqLit):
-        return {
-            "node": "equality",
-            "positive": phi.positive,
-            "left": _term_dict(phi.left),
-            "right": _term_dict(phi.right),
-        }
-    if isinstance(phi, DepAtom):
-        return {
-            "node": "atom",
-            "name": phi.name,
-            "groups": [list(g) for g in phi.groups],
-            "param": phi.param,
-        }
-    if isinstance(phi, Or):
-        return {"node": "or", "left": _ast_dict(phi.left), "right": _ast_dict(phi.right)}
-    if isinstance(phi, And):
-        return {"node": "and", "left": _ast_dict(phi.left), "right": _ast_dict(phi.right)}
-    if isinstance(phi, Exists):
-        return {"node": "exists", "var": phi.var, "body": _ast_dict(phi.body)}
-    if isinstance(phi, Forall):
-        return {"node": "forall", "var": phi.var, "body": _ast_dict(phi.body)}
-    if isinstance(phi, Possibly):
-        return {"node": "possibly", "body": _ast_dict(phi.body)}
-    if isinstance(phi, RestrictedBy):
-        return {
-            "node": "restricted",
-            "body": _ast_dict(phi.body),
-            "guard": _ast_dict(phi.guard),
-        }
-    raise SyntaxViolation(f"unknown formula node {phi!r}")
+def _ast_dict(value):
+    """A formula as JSON data: each node's fields plus its tag under "node"."""
+    if isinstance(value, (Var, Const)):
+        return {"var" if isinstance(value, Var) else "const": value.name}
+    if isinstance(value, tuple):
+        return [_ast_dict(v) for v in value]
+    if isinstance(value, Formula):
+        out = {f.name: _ast_dict(getattr(value, f.name)) for f in dataclasses.fields(value)}
+        out["node"] = _AST_TAGS[type(value)]
+        return out
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -276,32 +249,12 @@ def cmd_translate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _unit_widths(registry: AtomRegistry, name: str) -> tuple[tuple[int, ...], int | None]:
-    for row in registry.catalog():
-        if row["name"] == name:
-            if registry.is_builtin(name):
-                widths = tuple([1] * row["groups"])
-            else:
-                widths = ()  # custom widths are fixed by registration
-            return widths, (2 if row.get("parameterized") else None)
-    raise AtomError(f"unknown atom {name}")
-
-
 def _resolve_for_check(args: argparse.Namespace, registry: AtomRegistry):
-    name = args.atom
-    widths, param = _unit_widths(registry, name)
+    definition = registry.unit(args.atom, args.param)
     if args.widths:
         widths = tuple(int(w) for w in args.widths.split(","))
-    elif not registry.is_builtin(name):
-        for arity in range(1, 9):  # custom widths are fixed at registration
-            try:
-                return registry.resolve(name, (arity,), args.param)
-            except AtomError:
-                continue
-        raise AtomError(f"cannot determine widths of custom atom {name}; pass --widths")
-    if args.param is not None:
-        param = args.param
-    return registry.resolve(name, widths, param)
+        definition = registry.resolve(args.atom, widths, definition.param)
+    return definition
 
 
 def _counterexample_dict(ce: Counterexample) -> dict:
@@ -414,8 +367,8 @@ def cmd_atoms_list(args: argparse.Namespace) -> int:
 
 def cmd_atoms_register(args: argparse.Namespace) -> int:
     registry = AtomRegistry()
-    row = _register_file(registry, args.file)
-    _emit({"registered": row})
+    _register_file(registry, args.file)
+    _emit({"registered": registry.catalog()[-1]})  # the one custom row comes last
     return 0
 
 

@@ -57,6 +57,7 @@ from .syntax import (
 )
 
 MODES = ("naive", "oracle", "fast")
+MEMO_LIMIT = 200_000
 
 
 def upward_fragment(
@@ -158,7 +159,7 @@ class Evaluator:
 
     One instance per (model, strategy); memoization is keyed by subformula
     identity and team, so sweeping many teams against one formula reuses
-    work.  The memo stops growing at `memo_limit` entries.
+    work.  The memo stops growing at `MEMO_LIMIT` entries.
     """
 
     def __init__(
@@ -166,14 +167,12 @@ class Evaluator:
         model: Model,
         registry: AtomRegistry | None = None,
         mode: str = "fast",
-        memo_limit: int = 200_000,
     ):
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
         self.model = model
         self.registry = registry or DEFAULT_REGISTRY
         self.mode = mode
-        self.memo_limit = memo_limit
         self.stats = EvalStats()
         self._memo: dict[tuple, bool] = {}
         # per-node caches; they keep derived nodes alive so ids stay valid
@@ -252,7 +251,7 @@ class Evaluator:
         if len(team.rows) > self.stats.max_team_rows:
             self.stats.max_team_rows = len(team.rows)
         out = self._dispatch(node, team)
-        if len(self._memo) < self.memo_limit:
+        if len(self._memo) < MEMO_LIMIT:
             self._memo[key] = out
         return out
 
@@ -288,7 +287,7 @@ class Evaluator:
         return tarski_eval(self.model, dict(zip(vars, row)), phi)
 
     def _pointwise(self, node: Formula, team: Team) -> bool:
-        return all(self._tarski_row(team.vars, r, node) for r in team.rows)
+        return all(self._tarski_row(team.vars, r, node) for r in team.sorted_rows)
 
     # -- disjunction ----------------------------------------------------------
 
@@ -303,7 +302,7 @@ class Evaluator:
             flat_l = self._flattening(node.left)
             flat_r = self._flattening(node.right)
             left_rows, right_rows = set(), set()
-            for r in team.rows:
+            for r in team.sorted_rows:
                 in_l = self._tarski_row(team.vars, r, flat_l)
                 in_r = self._tarski_row(team.vars, r, flat_r)
                 if not (in_l or in_r):

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .analysis import InvariantBreach, compute_height, find_small_witness
-from .atoms import AtomRegistry, DEFAULT_REGISTRY
+from .atoms import AtomError, AtomRegistry, DEFAULT_REGISTRY
 from .evaluator import Evaluator, upward_fragment
 from .model import (
     Model,
@@ -308,14 +308,12 @@ def _atom_instances(
         raise HarnessError(f"bad atom spec {spec!r} (expected name or name(k))")
     name, param_text = m.group(1), m.group(2)
     param = int(param_text) if param_text else None
-    info = {row["name"]: row for row in registry.catalog()}
-    if name not in info:
-        raise HarnessError(f"unknown atom {name!r}")
-    if info[name].get("parameterized") and param is None:
-        raise HarnessError(f"atom {name} needs a parameter, e.g. {name}(2)")
-    if not info[name].get("parameterized") and param is not None:
-        raise HarnessError(f"atom {name} takes no parameter")
-    groups = info[name]["groups"]
+    try:
+        widths = registry.unit(name).group_widths
+        registry.resolve(name, widths, param)  # judges the parameter
+    except AtomError as err:
+        raise HarnessError(f"bad atom spec {spec!r}: {err}") from None
+    groups = len(widths)
     if groups == 0:
         return [DepAtom(name, (), param)]
     if groups == 1:

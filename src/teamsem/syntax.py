@@ -418,57 +418,59 @@ def desugar_possibility(phi: Formula, fresh: FreshNames | None = None) -> Formul
 # Capture-avoiding substitution
 
 
+def _captures(binder: str, mapping: Mapping[str, Term]) -> bool:
+    return any(isinstance(t, Var) and t.name == binder for t in mapping.values())
+
+
 def substitute_vars(
-    phi: Formula, mapping: Mapping[str, Term], fresh: FreshNames
+    phi: Formula,
+    mapping: Mapping[str, Term],
+    fresh: FreshNames,
+    clash: Callable[[str, Mapping[str, Term]], bool] | None = None,
+    literal: Callable[[RelLit], Formula] | None = None,
 ) -> Formula:
-    """Simultaneous substitution of free variable occurrences, renaming
-    binders on demand to avoid capture."""
+    """Simultaneous substitution of free variable occurrences.
 
-    def sub_term(t: Term, m: Mapping[str, Term]) -> Term:
-        if isinstance(t, Var) and t.name in m:
-            return m[t.name]
-        return t
+    A binder is renamed to a fresh name when `clash(binder, mapping below
+    it)` holds; by default, when it would capture a substituted variable.
+    `literal`, when given, replaces each relation literal once its
+    arguments are substituted.  Fresh names are drawn in pre-order, left
+    to right."""
+    # Under the default rule nothing below an empty mapping changes.
+    lazy = clash is None and literal is None
+    clash = clash or _captures
 
-    def value_names(m: Mapping[str, Term]) -> set[str]:
-        return {t.name for t in m.values() if isinstance(t, Var)}
+    def term(t: Term, m: Mapping[str, Term]) -> Term:
+        return m.get(t.name, t) if isinstance(t, Var) else t
 
-    def walk(node: Formula, m: Mapping[str, Term]) -> Formula:
-        if not m:
+    def atom_var(v: str, m: Mapping[str, Term]) -> str:
+        t = m.get(v, Var(v))
+        if not isinstance(t, Var):
+            raise SyntaxViolation("cannot substitute a constant into a dependency atom")
+        return t.name
+
+    def walk(node: Formula, m: dict[str, Term]) -> Formula:
+        if lazy and not m:
             return node
         if isinstance(node, BoolLit):
             return node
         if isinstance(node, RelLit):
-            return RelLit(node.name, node.positive, tuple(sub_term(t, m) for t in node.args))
+            lit = RelLit(node.name, node.positive, tuple(term(t, m) for t in node.args))
+            return lit if literal is None else literal(lit)
         if isinstance(node, EqLit):
-            return EqLit(node.positive, sub_term(node.left, m), sub_term(node.right, m))
+            return EqLit(node.positive, term(node.left, m), term(node.right, m))
         if isinstance(node, DepAtom):
-            groups = []
-            for g in node.groups:
-                new_g = []
-                for v in g:
-                    if v in m:
-                        r = m[v]
-                        if not isinstance(r, Var):
-                            raise SyntaxViolation(
-                                "cannot substitute a constant into a dependency atom"
-                            )
-                        new_g.append(r.name)
-                    else:
-                        new_g.append(v)
-                groups.append(tuple(new_g))
-            return DepAtom(node.name, tuple(groups), node.param)
-        if isinstance(node, Or):
-            return Or(walk(node.left, m), walk(node.right, m))
-        if isinstance(node, And):
-            return And(walk(node.left, m), walk(node.right, m))
+            groups = tuple(tuple(atom_var(v, m) for v in g) for g in node.groups)
+            return DepAtom(node.name, groups, node.param)
+        if isinstance(node, (Or, And)):
+            return type(node)(walk(node.left, m), walk(node.right, m))
         if isinstance(node, (Exists, Forall)):
-            cls = type(node)
-            m2 = {k: v for k, v in m.items() if k != node.var}
-            if node.var in value_names(m2):
-                renamed = fresh.fresh()
-                m2[node.var] = Var(renamed)
-                return cls(renamed, walk(node.body, m2))
-            return cls(node.var, walk(node.body, m2))
+            below = {k: v for k, v in m.items() if k != node.var}
+            var = node.var
+            if clash(var, below):
+                var = fresh.fresh()
+                below[node.var] = Var(var)
+            return type(node)(var, walk(node.body, below))
         if isinstance(node, Possibly):
             return Possibly(walk(node.body, m))
         if isinstance(node, RestrictedBy):
@@ -487,7 +489,7 @@ def substitute_vars(
 #   atomic   := '(' formula ')' | 'T' | 'F' | 'NE'
 #             | 'poss' '(' formula ')'
 #             | 'restrict' '(' formula ';' formula ')'
-#             | ATOM '(' groups ')'
+#             | ATOM '(' [NUM ';'] group (';' group)* ['|' group] ')'
 #             | ['!'] IDENT '(' terms? ')'
 #             | term '=' term | term '!=' term
 #
@@ -516,11 +518,6 @@ _TOKEN_RE = re.compile(
 )
 
 _KEYWORDS = {"E", "A", "T", "F", "poss", "restrict"}
-
-# family name -> group shape tag
-_TWO_GROUP = ("dep", "excl", "incl", "indep", "intersect", "nondep", "nonexcl", "nonincl")
-_ONE_GROUP = ("const", "inconst", "total")
-_THREE_GROUP = ("cindep", "noncindep")
 
 
 @dataclass
@@ -660,45 +657,31 @@ class _Parser:
         raise ParseError(f"expected '=', '!=', or '(' after {tok.text!r}", nxt.pos)
 
     def dep_atom(self) -> Formula:
+        """The bar comes only before a third group; the atom table (for a
+        built-in) judges the shape, and a custom atom takes one group."""
+        from .atoms import DEFAULT_REGISTRY, AtomError  # local: atoms imports this module
+
         tok = self.next()
-        name = tok.text
+        self.expect("lpar")
         param: int | None = None
-        if name == "big":
-            self.expect("lpar")
-            num = self.expect("num")
-            param = int(num.text)
-            if param < 1:
-                raise ParseError("big requires a parameter >= 1", num.pos)
+        if self.peek().kind == "num":
+            param = int(self.next().text)
             self.expect("semi")
-            groups = (self.var_group(),)
-            self.expect("rpar")
-        elif name in _ONE_GROUP:
-            self.expect("lpar")
-            groups = (self.var_group(),)
-            self.expect("rpar")
-        elif name in _TWO_GROUP:
-            self.expect("lpar")
-            g1 = self.var_group()
-            self.expect("semi")
-            g2 = self.var_group()
-            self.expect("rpar")
-            groups = (g1, g2)
-        elif name in _THREE_GROUP:
-            self.expect("lpar")
-            g1 = self.var_group()
-            self.expect("semi")
-            g2 = self.var_group()
-            self.expect("bar")
-            g3 = self.var_group()
-            self.expect("rpar")
-            groups = (g1, g2, g3)
-        else:
-            # registered custom atom: a single group
-            self.expect("lpar")
-            groups = (self.var_group(),)
-            self.expect("rpar")
-        atom = DepAtom(name, groups, param)
-        _validate_groups(atom, tok.pos)
+        groups = [self.var_group()]
+        while self.peek().kind in ("semi", "bar"):
+            sep, want = self.next(), "bar" if len(groups) == 2 else "semi"
+            if sep.kind != want:
+                raise ParseError(f"expected {want!r}, found {sep.text!r}", sep.pos)
+            groups.append(self.var_group())
+        self.expect("rpar")
+        try:
+            atom = DepAtom(tok.text, tuple(groups), param)
+            if DEFAULT_REGISTRY.is_builtin(tok.text):
+                DEFAULT_REGISTRY.resolve_atom(atom)
+            elif len(groups) != 1 or param is not None:
+                raise SyntaxViolation(f"custom atom {tok.text} takes one group and no parameter")
+        except (AtomError, SyntaxViolation) as err:
+            raise ParseError(str(err), tok.pos) from None
         return atom
 
     def var_group(self) -> tuple[str, ...]:
@@ -739,20 +722,6 @@ class _Parser:
         return tuple(out)
 
 
-def _validate_groups(atom: DepAtom, pos: int | None = None) -> None:
-    """Shape checks that do not need the registry."""
-    name, groups = atom.name, atom.groups
-    widths = tuple(len(g) for g in groups)
-    if name == "NE":
-        if widths != ():
-            raise ParseError("NE takes no arguments", pos)
-        return
-    if any(w == 0 for w in widths):
-        raise ParseError(f"{name} has an empty argument group", pos)
-    if name in ("excl", "incl", "intersect", "nonexcl", "nonincl") and widths[0] != widths[1]:
-        raise ParseError(f"{name} needs two groups of equal width", pos)
-
-
 def parse(
     text: str,
     constants: Iterable[str] = (),
@@ -760,7 +729,7 @@ def parse(
 ) -> Formula:
     """Parse a formula.  `constants` are the model-declared constant names;
     `atom_names` extends the built-in atom vocabulary (for custom atoms)."""
-    from .atoms import BUILTIN_ATOM_NAMES  # cycle-free: atoms imports nothing from here at module level
+    from .atoms import BUILTIN_ATOM_NAMES  # local: atoms imports this module
 
     names = frozenset(BUILTIN_ATOM_NAMES if atom_names is None else atom_names)
     return _Parser(text, frozenset(constants), names).parse()
@@ -810,12 +779,10 @@ def _pp_atom(atom: DepAtom) -> str:
     if atom.name == "NE":
         return "NE"
     rendered = [", ".join(g) for g in atom.groups]
-    if atom.name in _THREE_GROUP:
+    if len(rendered) == 3:
         inner = f"{rendered[0]}; {rendered[1]} | {rendered[2]}"
-    elif len(rendered) == 2:
-        inner = f"{rendered[0]}; {rendered[1]}"
     else:
-        inner = rendered[0]
+        inner = "; ".join(rendered)
     if atom.param is not None:
         inner = f"{atom.param}; {inner}"
     return f"{atom.name}({inner})"

@@ -245,32 +245,10 @@ def replace_relation(
     if fresh is None:
         fresh = FreshNames(all_variable_names(phi) | set(avoid))
 
-    def sub(term, env):
-        if isinstance(term, Var) and term.name in env:
-            return Var(env[term.name])
-        return term
+    def replace(lit: RelLit) -> Formula:
+        return builder(lit.args, lit.positive) if lit.name == name else lit
 
-    def walk(node: Formula, env: dict[str, str]) -> Formula:
-        if isinstance(node, BoolLit):
-            return node
-        if isinstance(node, RelLit):
-            args = tuple(sub(t, env) for t in node.args)
-            if node.name == name:
-                return builder(args, node.positive)
-            return RelLit(node.name, node.positive, args)
-        if isinstance(node, EqLit):
-            return EqLit(node.positive, sub(node.left, env), sub(node.right, env))
-        if isinstance(node, (Or, And)):
-            return type(node)(walk(node.left, env), walk(node.right, env))
-        if isinstance(node, (Exists, Forall)):
-            if node.var in avoid:
-                renamed = fresh.fresh()
-                return type(node)(renamed, walk(node.body, {**env, node.var: renamed}))
-            env2 = {k: v for k, v in env.items() if k != node.var}
-            return type(node)(node.var, walk(node.body, env2))
-        raise TranslationError(f"relation surgery needs first-order input, got {node!r}")
-
-    return walk(phi, {})
+    return substitute_vars(phi, {}, fresh, lambda v, m: v in avoid, replace)
 
 
 def _fold_nullary(phi: Formula, name: str) -> Formula:
@@ -376,26 +354,12 @@ def _distinct_binders(
     collides with `protected` (or any free variable)."""
     taken = set(protected) | free_variables(phi)
 
-    def walk(node: Formula) -> Formula:
-        if isinstance(node, (BoolLit, RelLit, EqLit, DepAtom)):
-            return node
-        if isinstance(node, (Or, And)):
-            return type(node)(walk(node.left), walk(node.right))
-        if isinstance(node, RestrictedBy):
-            return RestrictedBy(walk(node.body), walk(node.guard))
-        if isinstance(node, Possibly):
-            return Possibly(walk(node.body))
-        if isinstance(node, (Exists, Forall)):
-            if node.var in taken:
-                renamed = fresh.fresh()
-                body = substitute_vars(node.body, {node.var: Var(renamed)}, fresh)
-                taken.add(renamed)
-                return type(node)(renamed, walk(body))
-            taken.add(node.var)
-            return type(node)(node.var, walk(node.body))
-        raise TranslationError(f"unknown node {node!r}")
+    def clash(binder: str, mapping) -> bool:
+        seen = binder in taken
+        taken.add(binder)
+        return seen
 
-    return walk(phi)
+    return substitute_vars(phi, {}, fresh, clash)
 
 
 # ---------------------------------------------------------------------------

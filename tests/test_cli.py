@@ -1,9 +1,14 @@
 """End-to-end command-line tests, run in process via cli.main."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import teamsem
 from teamsem import Model, Relation, Team, parse
 from teamsem.cli import _ast_dict, main
 
@@ -164,6 +169,29 @@ def test_eval_split_witness(capsys, model_file, team_file):
     verdict, witness = capsys.readouterr().out.splitlines()
     assert verdict == "true"
     assert json.loads(witness)["kind"] == "split"
+
+
+@pytest.mark.parametrize("mode", ["naive", "oracle", "fast"])
+def test_eval_stats_do_not_depend_on_the_hash_seed(tmp_path, mode):
+    # Team rows are frozensets of strings; the evaluator's short-circuiting
+    # loops must visit them in one order whatever the string-hash seed.
+    m = Model(("a", "b", "c"), {"P": Relation(1, frozenset({("a",)}))}, {})
+    X = Team(("x", "y"), frozenset({("a", "a"), ("b", "c"), ("c", "b"), ("a", "c")}))
+    (tmp_path / "m.json").write_text(m.to_json())
+    (tmp_path / "t.json").write_text(X.to_json())
+    src = str(pathlib.Path(teamsem.__file__).parents[1])
+    outputs = set()
+    for seed in range(6):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=str(seed))
+        run = subprocess.run(
+            [
+                sys.executable, "-m", "teamsem.cli", "eval", "P(x) \\/ (x = y /\\ NE)",
+                "--model", "m.json", "--team", "t.json", "--mode", mode, "--stats",
+            ],
+            cwd=tmp_path, env=env, capture_output=True, text=True, check=True,
+        )
+        outputs.add(run.stdout)
+    assert len(outputs) == 1, sorted(outputs)
 
 
 # --- translate --------------------------------------------------------------
