@@ -669,7 +669,8 @@ class _Parser:
             self.expect("semi")
         groups = [self.var_group()]
         while self.peek().kind in ("semi", "bar"):
-            sep, want = self.next(), "bar" if len(groups) == 2 else "semi"
+            sep = self.next()
+            want = "bar" if len(groups) == 2 else "semi"
             if sep.kind != want:
                 raise ParseError(f"expected {want!r}, found {sep.text!r}", sep.pos)
             groups.append(self.var_group())
