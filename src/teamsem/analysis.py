@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
 
 from .atoms import AtomRegistry, DEFAULT_REGISTRY
 from .evaluator import Evaluator
-from .model import Model, SINGLETON_EMPTY_TEAM, Team, duplicate
+from .model import Model, SINGLETON_EMPTY_TEAM, Team, duplicate, letters, subsets
 from .syntax import DepAtom, Formula, Possibly, free_variables, pretty, subformulas
 
 
@@ -123,12 +122,10 @@ def find_small_witness(
     ev = evaluator or Evaluator(model, registry=reg, mode=mode)
     if not ev.evaluate(phi, team):
         raise AnalysisError("the team does not satisfy the formula; nothing to shrink")
-    rows = team.sorted_rows
-    for size in range(0, min(height.value, len(rows)) + 1):
-        for combo in combinations(rows, size):
-            sub = Team(team.vars, frozenset(combo))
-            if ev.evaluate(phi, sub):
-                return sub
+    for rows in subsets(team.rows, high=height.value):
+        sub = Team(team.vars, rows)
+        if ev.evaluate(phi, sub):
+            return sub
     raise InvariantBreach(
         "no satisfying subteam within the height bound",
         _repro(model, team, phi, height=height.value),
@@ -148,7 +145,7 @@ def totality_unboundedness_witness(
     if n < 1:
         raise AnalysisError("need n >= 1")
     if n + 1 <= 8:
-        domain = tuple("abcdefgh"[: n + 1])
+        domain = letters(n + 1)
     else:
         domain = tuple(f"e{i}" for i in range(n + 1))
     model = Model(domain, {}, {})
@@ -159,14 +156,12 @@ def totality_unboundedness_witness(
         raise InvariantBreach(
             "the full team does not satisfy totality", _repro(model, team, atom)
         )
-    rows = team.sorted_rows
-    for size in range(0, n + 1):
-        for combo in combinations(rows, size):
-            if ev.evaluate(atom, Team(team.vars, frozenset(combo))):
-                raise InvariantBreach(
-                    "a small subteam satisfies totality",
-                    _repro(model, Team(team.vars, frozenset(combo)), atom),
-                )
+    for rows in subsets(team.rows, high=n):
+        sub = Team(team.vars, rows)
+        if ev.evaluate(atom, sub):
+            raise InvariantBreach(
+                "a small subteam satisfies totality", _repro(model, sub, atom)
+            )
     return model, team
 
 

@@ -22,7 +22,6 @@ counterexample), even though constancy is harmless in other pipelines.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .atoms import AtomRegistry, DEFAULT_REGISTRY, eval_atom
@@ -35,6 +34,7 @@ from .model import (
     duplicate,
     enumerate_choice_functions,
     enumerate_covers,
+    subsets,
     supplement,
     tarski_eval,
     team_restrict,
@@ -180,7 +180,7 @@ class Evaluator:
         self._flat: dict[int, Formula] = {}
         self._expansion: dict[int, Formula] = {}
         self._upward: dict[int, bool] = {}
-        self._roots: list[Formula] = []
+        self._roots: dict[int, Formula] = {}
 
     # -- public API ---------------------------------------------------------
 
@@ -193,7 +193,7 @@ class Evaluator:
         for r in team.rows:
             if any(e not in dom for e in r):
                 raise EvalError(f"team row {r} leaves the model domain")
-        self._roots.append(phi)  # pin subformula ids for the memo's lifetime
+        self._roots.setdefault(id(phi), phi)  # pin subformula ids for the memo's lifetime
         return self._eval(phi, team)
 
     def sentence_true(self, phi: Formula) -> bool:
@@ -274,11 +274,7 @@ class Evaluator:
             return self._possibly(node, team)
         if isinstance(node, RestrictedBy):
             if self.mode == "fast":
-                kept = frozenset(
-                    r for r in team.rows
-                    if self._tarski_row(team.vars, r, node.guard)
-                )
-                return self._eval(node.body, Team(team.vars, kept))
+                return self._eval(node.body, self._satisfying(team, node.guard))
             return self._split(self._expand_restriction(node), team)
         raise EvalError(f"cannot evaluate node {node!r}")
 
@@ -288,6 +284,13 @@ class Evaluator:
 
     def _pointwise(self, node: Formula, team: Team) -> bool:
         return all(self._tarski_row(team.vars, r, node) for r in team.sorted_rows)
+
+    def _satisfying(self, team: Team, phi: Formula) -> Team:
+        """The subteam of the rows that satisfy first-order `phi`."""
+        return Team(
+            team.vars,
+            frozenset(r for r in team.rows if self._tarski_row(team.vars, r, phi)),
+        )
 
     # -- disjunction ----------------------------------------------------------
 
@@ -349,36 +352,25 @@ class Evaluator:
                 if self._eval(node.body, supplement(team, choice, (node.var,))):
                     return True
             return False
-        doubled = duplicate(self.model, team, node.var)
-        if self.mode == "fast" and self._all_upward(node.body):
-            flat = self._flattening(node.body)
-            kept = frozenset(
-                r for r in doubled.rows if self._tarski_row(doubled.vars, r, flat)
-            )
-            # every original assignment must still be extendable
-            if not self._covers(team, Team(doubled.vars, kept), node.var):
-                return False
-            return self._eval(node.body, Team(doubled.vars, kept))
-        if self.mode == "fast" and _forces_constant(node):
+        if self.mode != "fast":
+            return self._exists_by_subsets(node, team, duplicate(self.model, team, node.var))
+        upward = self._all_upward(node.body)
+        if not upward and _forces_constant(node):
             for value in self.model.domain:
                 self.stats.choices += 1
                 if self._eval(node.body, _assign_constant(team, node.var, value)):
                     return True
             return False
-        if self.mode == "fast":
-            # subset search, but only over duplicated rows that pointwise
-            # satisfy the flattening; no witness can use the other rows
-            flat = self._flattening(node.body)
-            kept = Team(
-                doubled.vars,
-                frozenset(
-                    r for r in doubled.rows if self._tarski_row(doubled.vars, r, flat)
-                ),
-            )
-            if not self._covers(team, kept, node.var):
-                return False
-            return self._exists_by_subsets(node, team, kept)
-        return self._exists_by_subsets(node, team, doubled)
+        # no witness can use a duplicated row that fails the flattening,
+        # and every original assignment must still be extendable
+        kept = self._satisfying(
+            duplicate(self.model, team, node.var), self._flattening(node.body)
+        )
+        if not self._covers(team, kept, node.var):
+            return False
+        if upward:
+            return self._eval(node.body, kept)
+        return self._exists_by_subsets(node, team, kept)
 
     def _covers(self, team: Team, sub: Team, var: str) -> bool:
         """Does every assignment of `team` survive, for some value of `var`,
@@ -417,17 +409,12 @@ class Evaluator:
 
     def _possibly(self, node: Possibly, team: Team) -> bool:
         if self.mode == "fast" and self._all_upward(node.body):
-            flat = self._flattening(node.body)
-            kept = frozenset(
-                r for r in team.rows if self._tarski_row(team.vars, r, flat)
-            )
-            return bool(kept) and self._eval(node.body, Team(team.vars, kept))
-        rows = team.sorted_rows
-        for size in range(1, len(rows) + 1):
-            for combo in itertools.combinations(rows, size):
-                self.stats.subsets += 1
-                if self._eval(node.body, Team(team.vars, frozenset(combo))):
-                    return True
+            kept = self._satisfying(team, self._flattening(node.body))
+            return bool(kept.rows) and self._eval(node.body, kept)
+        for rows in subsets(team.rows, low=1):
+            self.stats.subsets += 1
+            if self._eval(node.body, Team(team.vars, rows)):
+                return True
         return False
 
     # -- witnesses ---------------------------------------------------------------
@@ -447,22 +434,19 @@ class Evaluator:
                     }
         if isinstance(phi, Exists):
             doubled = duplicate(self.model, team, phi.var)
-            rows = doubled.sorted_rows
-            for size in range(0, len(rows) + 1):
-                for combo in itertools.combinations(rows, size):
-                    sub = Team(doubled.vars, frozenset(combo))
-                    if self._covers(team, sub, phi.var) and self._eval(phi.body, sub):
-                        return {
-                            "kind": "choice",
-                            "vars": list(doubled.vars),
-                            "rows": [list(r) for r in sub.sorted_rows],
-                        }
+            for rows in subsets(doubled.rows):
+                sub = Team(doubled.vars, rows)
+                if self._covers(team, sub, phi.var) and self._eval(phi.body, sub):
+                    return {
+                        "kind": "choice",
+                        "vars": list(doubled.vars),
+                        "rows": [list(r) for r in sub.sorted_rows],
+                    }
         if isinstance(phi, Possibly):
-            rows = team.sorted_rows
-            for size in range(1, len(rows) + 1):
-                for combo in itertools.combinations(rows, size):
-                    if self._eval(phi.body, Team(team.vars, frozenset(combo))):
-                        return {"kind": "subteam", "rows": [list(r) for r in combo]}
+            for rows in subsets(team.rows, low=1):
+                sub = Team(team.vars, rows)
+                if self._eval(phi.body, sub):
+                    return {"kind": "subteam", "rows": [list(r) for r in sub.sorted_rows]}
         if isinstance(phi, DepAtom):
             from .model import team_project
 

@@ -43,10 +43,11 @@ from .evaluator import Evaluator, upward_fragment
 from .model import (
     Model,
     Relation,
-    Row,
     SINGLETON_EMPTY_TEAM,
     Team,
     compile_fo,
+    letters,
+    subsets,
     team_project,
     team_restrict,
 )
@@ -154,10 +155,6 @@ def grid_from_env(default: GridConfig | None = None) -> GridConfig:
 # ---------------------------------------------------------------------------
 # Model and team enumeration
 
-def _letters(n: int) -> tuple[str, ...]:
-    return tuple("abcdefgh"[:n])
-
-
 def permute_model(model: Model, mapping: Mapping[str, str]) -> Model:
     """Rename domain elements; the domain stays sorted."""
     return Model(
@@ -216,16 +213,11 @@ def enumerate_models(
         raise HarnessError("model enumeration is capped at eight elements")
     names = sorted(signature)
     for n in range(2, max_dom + 1):
-        dom = _letters(n)
-        per_relation: list[list[frozenset[Row]]] = []
-        for name in names:
-            tuples = sorted(itertools.product(dom, repeat=signature[name]))
-            tables = [
-                frozenset(combo)
-                for size in range(len(tuples) + 1)
-                for combo in itertools.combinations(tuples, size)
-            ]
-            per_relation.append(tables)
+        dom = letters(n)
+        per_relation = [
+            list(subsets(itertools.product(dom, repeat=signature[name])))
+            for name in names
+        ]
         for combo in itertools.product(*per_relation):
             model = Model(
                 dom,
@@ -245,10 +237,8 @@ def enumerate_teams(
 ) -> Iterator[Team]:
     """All duplicate-free teams over `vars` with at most `max_rows`
     assignments, the empty team first, then by size and row order."""
-    rows = sorted(itertools.product(model.domain, repeat=len(vars)))
-    for size in range(0, min(max_rows, len(rows)) + 1):
-        for combo in itertools.combinations(rows, size):
-            yield Team(vars, frozenset(combo))
+    for rows in subsets(itertools.product(model.domain, repeat=len(vars)), high=max_rows):
+        yield Team(vars, rows)
 
 
 def _grid_models(
@@ -317,7 +307,10 @@ def _atom_instances(
     if groups == 0:
         return [DepAtom(name, (), param)]
     if groups == 1:
-        return [DepAtom(name, ((v,),), param) for v in vars]
+        return [
+            DepAtom(name, (group,), param)
+            for group in itertools.product(vars, repeat=widths[0])
+        ]
     if groups == 2:
         pairs = [(u, w) for u in vars for w in vars if u != w] or [
             (v, v) for v in vars
@@ -624,18 +617,17 @@ def _upflat(phi, model, rows, modes, registry):
         # subteams at once; only the remaining case needs evaluations.
         n_subteams = 2 ** len(team_rows)
         if flat_ok and not big_sat:
-            for k in range(len(team_rows) + 1):
-                for combo in itertools.combinations(team_rows, k):
-                    sub = Team(big_team.vars, frozenset(combo))
-                    if ev.evaluate(phi, sub):
-                        extra = {
-                            "formula": phi,
-                            "subteam": json.loads(sub.to_json()),
-                            "kind": "upward-flat-closure",
-                            "mode": mode,
-                        }
-                        closure = {"subteam_satisfied": True, **verdicts}
-                        yield Point(checked=0, mismatch=_point(model, big_team, closure, extra))
+            for sub_rows in subsets(team_rows):
+                sub = Team(big_team.vars, sub_rows)
+                if ev.evaluate(phi, sub):
+                    extra = {
+                        "formula": phi,
+                        "subteam": json.loads(sub.to_json()),
+                        "kind": "upward-flat-closure",
+                        "mode": mode,
+                    }
+                    closure = {"subteam_satisfied": True, **verdicts}
+                    yield Point(checked=0, mismatch=_point(model, big_team, closure, extra))
         extra = {"formula": phi, "subteams": n_subteams, "mode": mode}
         yield Point(checked=1 + n_subteams, record=(model, big_team, verdicts, extra))
 

@@ -228,6 +228,23 @@ def supplement(team: Team, choice: Mapping[Row, frozenset[tuple[str, ...]]], var
     return Team(tuple(new_vars), frozenset(rows))
 
 
+def letters(n: int) -> tuple[str, ...]:
+    """The element names of an enumerated n-element domain: a, b, ... (n <= 8)."""
+    return tuple("abcdefgh"[:n])
+
+
+def subsets(items: Iterable, low: int = 0, high: int | None = None) -> Iterator[frozenset]:
+    """The subsets of `items` with `low` to `high` members, smallest first
+    and, within one size, in `itertools.combinations` order over the
+    sorted items.  This is the order every brute-force search relies on
+    for its first witness or counterexample."""
+    pool = sorted(items)
+    top = len(pool) if high is None else min(high, len(pool))
+    for size in range(low, top + 1):
+        for combo in itertools.combinations(pool, size):
+            yield frozenset(combo)
+
+
 def enumerate_covers(team: Team) -> Iterator[tuple[Team, Team]]:
     """All ordered pairs (Y, Z) of subteams with Y ∪ Z = X.
 

@@ -23,8 +23,7 @@ The stages, each independently testable:
    team symbol, case by case (first-order part / atom / conjunction /
    universal / restriction);
 6. re-express the internal team symbol through R and the prefix
-   variables, quantify the prefix, and fold away nullary R literals when
-   the team has no columns.
+   variables, and quantify the prefix.
 """
 
 from __future__ import annotations
@@ -251,18 +250,6 @@ def replace_relation(
     return substitute_vars(phi, {}, fresh, lambda v, m: v in avoid, replace)
 
 
-def _fold_nullary(phi: Formula, name: str) -> Formula:
-    """Replace 0-ary literals of `name` by their truth on a one-assignment
-    team: positively T, negatively F."""
-
-    def fold(node: Formula) -> Formula:
-        if isinstance(node, RelLit) and node.name == name and not node.args:
-            return TRUE if node.positive else FALSE
-        return node
-
-    return map_formula(phi, fold)
-
-
 # ---------------------------------------------------------------------------
 # Stage 5: sentence construction over the internal team symbol
 
@@ -482,8 +469,6 @@ def translate(
         sentence, TEAM_SYMBOL, final_builder, frozenset(prefix_vars), fresh
     )
     sentence = exists_chain(prefix_vars, sentence)
-    if n == 0:
-        sentence = _fold_nullary(sentence, relation)
     if simplify_output:
         sentence = simplify(sentence)
 

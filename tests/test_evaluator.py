@@ -266,6 +266,16 @@ def test_eval_errors(m2):
         evaluate(m2, team("x", ("a",)), parse("P(x)"), mode="psychic")
 
 
+def test_repeated_evaluation_pins_the_formula_once(m2):
+    ev = Evaluator(m2)
+    phi = parse("NE \\/ dep(x; y)")
+    for X in all_teams(m2, "xy", 2):
+        ev.evaluate(phi, X)
+        ev.evaluate(phi, X)
+    ev.witness(phi, team("xy", ("a", "a"), ("b", "a")))
+    assert len(ev._roots) == 1
+
+
 def test_memoization_is_stable(m2):
     ev = Evaluator(m2)
     phi = parse("NE \\/ dep(x; y)")

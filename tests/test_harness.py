@@ -128,6 +128,26 @@ def test_generated_corpus_respects_depth_and_vars():
         assert free_variables(phi) <= {"x"}
 
 
+def test_generated_custom_atom_instances_have_the_registered_width(m2):
+    from teamsem.atoms import AtomRegistry
+    from teamsem.evaluator import Evaluator
+    from teamsem.syntax import DepAtom
+
+    reg = AtomRegistry()
+    reg.register_custom("pair", 2, parse("E u. E v. R(u, v)"), upwards_closed=True, bound=1)
+    corpus = [
+        phi
+        for phi in generate_formulas(("pair",), {}, 0, ("x", "y"), registry=reg)
+        if isinstance(phi, DepAtom)
+    ]
+    assert [pretty(phi) for phi in corpus] == [
+        "pair(x, x)", "pair(x, y)", "pair(y, x)", "pair(y, y)",
+    ]
+    ev = Evaluator(m2, registry=reg)
+    X = Team(("x", "y"), frozenset({("a", "b")}))
+    assert all(ev.evaluate(phi, X) for phi in corpus)
+
+
 def test_generate_formulas_unknown_atom():
     with pytest.raises(HarnessError, match="nosuch"):
         generate_formulas(("nosuch",), {}, 1, ("x",))

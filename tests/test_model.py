@@ -17,6 +17,7 @@ from teamsem.model import (
     duplicate,
     enumerate_choice_functions,
     enumerate_covers,
+    subsets,
     supplement,
     tarski_eval,
     team_project,
@@ -140,6 +141,22 @@ def test_enumerate_choice_functions_counts(m2_bare):
     assert len(list(enumerate_choice_functions(two, m2_bare, 1))) == 9
     with pytest.raises(EvalError):
         next(enumerate_choice_functions(one, m2_bare, 0))
+
+
+def test_subsets_order_and_caps():
+    # unsorted input comes out sorted: by size, then in combinations order
+    assert [sorted(s) for s in subsets("cab")] == [
+        [], ["a"], ["b"], ["c"], ["a", "b"], ["a", "c"], ["b", "c"], ["a", "b", "c"],
+    ]
+    assert all(isinstance(s, frozenset) for s in subsets("ab"))
+    assert [sorted(s) for s in subsets("cab", low=1, high=2)] == [
+        ["a"], ["b"], ["c"], ["a", "b"], ["a", "c"], ["b", "c"],
+    ]
+    assert [sorted(s) for s in subsets("ba", low=2)] == [["a", "b"]]
+    assert list(subsets("ab", high=9)) == list(subsets("ab"))
+    assert list(subsets("abc", high=-1)) == []
+    assert list(subsets([])) == [frozenset()]
+    assert list(subsets([], low=1)) == []
 
 
 @given(st.integers(min_value=0, max_value=2), st.integers(min_value=1, max_value=2))
