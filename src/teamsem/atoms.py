@@ -13,7 +13,16 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from .model import Model, Relation, Row, Team, letters, subsets, tarski_eval, team_project
+from .model import (
+    Model,
+    Row,
+    Team,
+    compile_fo,
+    letters,
+    subsets,
+    tarski_eval,  # unused here; bench/tracer.py patches it by this name
+    team_project,
+)
 from .syntax import (
     DepAtom,
     Formula,
@@ -500,10 +509,6 @@ class AtomRegistry:
         if constant_names(definition):
             raise RegistrationError("atom definitions may not use constants")
 
-        def direct(model: Model, rel: frozenset[Row]) -> bool:
-            probe = Model(model.domain, {ATOM_REL: Relation(arity, rel)}, {})
-            return tarski_eval(probe, {}, definition)
-
         d = AtomDefinition(
             name=name,
             group_widths=(arity,),
@@ -511,7 +516,7 @@ class AtomRegistry:
             upwards_closed=upwards_closed,
             downwards_closed=downwards_closed,
             bound=bound,
-            direct=direct,
+            direct=_truth_of(definition),
             fo_definition=definition,
             verified=check,
         )
@@ -625,6 +630,20 @@ def check_boundedness(
     return None
 
 
+def _truth_of(sentence: Formula) -> Callable[[Model, frozenset[Row]], bool]:
+    """Truth of a sentence over R on the model's domain with R := rel,
+    compiled once per domain."""
+    runs: dict[tuple[str, ...], Callable] = {}
+
+    def truth(model: Model, rel: frozenset[Row]) -> bool:
+        run = runs.get(model.domain)
+        if run is None:
+            run = runs[model.domain] = compile_fo(Model(model.domain), sentence, {}, 0)
+        return run([], {ATOM_REL: rel})
+
+    return truth
+
+
 def fo_definition_agrees(
     definition: AtomDefinition, max_dom: int = 3, max_rel: int = 4
 ) -> Counterexample | None:
@@ -632,11 +651,8 @@ def fo_definition_agrees(
     sentence over all relations of size <= max_rel at small scale."""
     if definition.fo_definition is None:
         raise AtomError(f"atom {definition.name} has no first-order definition")
-    arity = definition.arity
-    for model, rel in _probes(arity, max_dom, max_rel):
-        probe = Model(model.domain, {ATOM_REL: Relation(arity, rel)}, {})
-        want = definition.direct(model, rel)
-        got = tarski_eval(probe, {}, definition.fo_definition)
-        if want != got:
+    truth = _truth_of(definition.fo_definition)
+    for model, rel in _probes(definition.arity, max_dom, max_rel):
+        if definition.direct(model, rel) != truth(model, rel):
             return Counterexample(model, rel)
     return None

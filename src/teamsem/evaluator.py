@@ -23,6 +23,7 @@ counterexample), even though constancy is harmless in other pipelines.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .atoms import AtomRegistry, DEFAULT_REGISTRY, eval_atom
 from .model import (
@@ -31,12 +32,13 @@ from .model import (
     Row,
     SINGLETON_EMPTY_TEAM,
     Team,
+    compile_fo,
     duplicate,
     enumerate_choice_functions,
     enumerate_covers,
     subsets,
     supplement,
-    tarski_eval,
+    tarski_eval,  # unused here; bench/tracer.py patches it by this name
     team_restrict,
 )
 from .syntax import (
@@ -181,6 +183,7 @@ class Evaluator:
         self._expansion: dict[int, Formula] = {}
         self._upward: dict[int, bool] = {}
         self._roots: dict[int, Formula] = {}
+        self._fo: dict[tuple[int, tuple[str, ...]], tuple[Callable, Formula]] = {}
 
     # -- public API ---------------------------------------------------------
 
@@ -279,8 +282,15 @@ class Evaluator:
         raise EvalError(f"cannot evaluate node {node!r}")
 
     def _tarski_row(self, vars: tuple[str, ...], row: Row, phi: Formula) -> bool:
+        """Classical truth of first-order `phi` at one row, through the
+        engine compiled once per (node, vars); the entry pins the node."""
         self.stats.tarski_rows += 1
-        return tarski_eval(self.model, dict(zip(vars, row)), phi)
+        got = self._fo.get((id(phi), vars))
+        if got is None:
+            slots = {v: i for i, v in enumerate(vars)}
+            got = (compile_fo(self.model, phi, slots, len(vars)), phi)
+            self._fo[(id(phi), vars)] = got
+        return got[0](row)
 
     def _pointwise(self, node: Formula, team: Team) -> bool:
         return all(self._tarski_row(team.vars, r, node) for r in team.sorted_rows)

@@ -579,7 +579,7 @@ def _flatness(phi, model, rows, modes, registry):
     extra = {"formula": phi, "mode": mode}
     for team in enumerate_teams(model, xs, rows):
         a = ev.evaluate(phi, team)
-        b = all(compiled(list(row), {}) for row in team.sorted_rows)
+        b = all(compiled(row) for row in team.sorted_rows)
         yield _pair(model, team, {"team_eval": a, "pointwise": b}, extra)
 
 
@@ -605,7 +605,7 @@ def _upflat(phi, model, rows, modes, registry):
     compiled = compile_fo(model, flatten(phi), {v: i for i, v in enumerate(xs)}, len(xs))
     for big_team in enumerate_teams(model, xs, rows):
         team_rows = sorted(big_team.rows)
-        flat_ok = all(compiled(list(row), {}) for row in team_rows)
+        flat_ok = all(compiled(row) for row in team_rows)
         big_sat = ev.evaluate(phi, big_team)
         verdicts = {"satisfied": big_sat, "flattening_pointwise": flat_ok}
         if big_sat and not flat_ok:

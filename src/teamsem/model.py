@@ -7,8 +7,10 @@ no variables are distinct objects, and both are routinely meaningful.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -20,10 +22,21 @@ from .syntax import (
     Exists,
     Forall,
     Formula,
+    FreshNames,
     Or,
     RelLit,
     Term,
-    count_nodes,
+    Var,
+    all_variable_names,
+    ands,
+    constant_names,
+    free_variables,
+    is_first_order,
+    map_formula,
+    ors,
+    simplify,
+    subformulas,
+    substitute_vars,
 )
 
 
@@ -277,168 +290,156 @@ def enumerate_choice_functions(
 
 
 # ---------------------------------------------------------------------------
-# Single-assignment (Tarski) evaluation of first-order formulas
-
-
-def resolve_term(model: Model, assignment: Mapping[str, str], term: Term) -> str:
-    if isinstance(term, Const):
-        try:
-            return model.constants[term.name]
-        except KeyError:
-            raise EvalError(f"unknown constant {term.name}")
-    try:
-        return assignment[term.name]
-    except KeyError:
-        raise EvalError(f"unbound variable {term.name}")
+# The first-order engine: each formula is checked and rewritten once, then
+# compiled per model into closures over a slot environment.
 
 
 def tarski_eval(model: Model, assignment: Mapping[str, str], phi: Formula) -> bool:
-    """Classical satisfaction by a single assignment; first-order input only."""
-    if isinstance(phi, BoolLit):
-        return phi.value
-    if isinstance(phi, RelLit):
-        rel = model.relations.get(phi.name)
-        if rel is None:
-            raise EvalError(f"unknown relation {phi.name}")
-        if rel.arity != len(phi.args):
-            raise EvalError(
-                f"relation {phi.name} has arity {rel.arity}, got {len(phi.args)} arguments"
-            )
-        row = tuple(resolve_term(model, assignment, t) for t in phi.args)
-        return (row in rel.tuples) == phi.positive
-    if isinstance(phi, EqLit):
-        same = resolve_term(model, assignment, phi.left) == resolve_term(
-            model, assignment, phi.right
-        )
-        return same == phi.positive
-    if isinstance(phi, Or):
-        return tarski_eval(model, assignment, phi.left) or tarski_eval(
-            model, assignment, phi.right
-        )
-    if isinstance(phi, And):
-        return tarski_eval(model, assignment, phi.left) and tarski_eval(
-            model, assignment, phi.right
-        )
-    if isinstance(phi, Exists):
-        for m in model.domain:
-            if tarski_eval(model, {**assignment, phi.var: m}, phi.body):
-                return True
-        return False
-    if isinstance(phi, Forall):
-        for m in model.domain:
-            if not tarski_eval(model, {**assignment, phi.var: m}, phi.body):
-                return False
-        return True
-    raise EvalError(f"not a first-order formula: {phi}")
+    """Classical satisfaction of first-order `phi` by one assignment: the
+    engine's one-shot entry point (compile, then run)."""
+    names = tuple(assignment)
+    run = compile_fo(model, phi, {v: i for i, v in enumerate(names)}, len(names))
+    return run([assignment[v] for v in names])
 
 
 def compile_fo(
     model: Model, phi: Formula, var_slots: Mapping[str, int], n_slots: int
-) -> Callable[[list[str | None], Mapping[str, frozenset[Row]]], bool]:
-    """Compile a first-order formula into nested closures.
+) -> Callable[..., bool]:
+    """Compile first-order `phi` on `model` into `run(env, rels={})`: `env`
+    holds the `n_slots` variable slots (free variable v in `var_slots[v]`),
+    and `rels` supplies or overrides named relations per call (such as a
+    translated sentence's team relation) with tuples over the domain.
 
-    The compiled function takes a slot environment (a mutable list indexed
-    by `var_slots` plus quantifier slots) and a relation override map used
-    to rebind named relations (e.g. the fresh team relation) per call.
-    Agrees with `tarski_eval`; it exists because theorem sweeps evaluate
-    the same sentence at many points.
-    """
-    slots = dict(var_slots)
+    One-point bindings are substituted away and `simplify` runs; a block of
+    like quantifiers guarded by a relation loops over the relation's tuples,
+    not over dom^k, as in the guarded fragment.  Non-first-order input,
+    unbound variables, unknown constants and arity clashes with the model
+    raise `EvalError` here, before any rewrite can hide them; a relation
+    neither in the model nor supplied raises when a run reaches it."""
+    free, constants, arities, rewritten = _prepared(phi)
+    unbound = sorted(free - set(var_slots))
+    if unbound:
+        raise EvalError(f"unbound variable {unbound[0]}")
+    for name in constants:
+        if name not in model.constants:
+            raise EvalError(f"unknown constant {name}")
+    for name, arity in arities:
+        rel = model.relations.get(name)
+        if rel is not None and rel.arity != arity:
+            raise EvalError(f"relation {name} has arity {rel.arity}, got {arity} arguments")
     domain = model.domain
+    # slots: the variables', then one per constant, then the quantifiers'
+    top: dict[Term, int] = {Var(v): i for v, i in var_slots.items()}
+    top.update({Const(c): n_slots + i for i, c in enumerate(constants)})
+    width = len(top)
 
-    def comp(node: Formula, depth: int) -> Callable:
+    def comp(node: Formula, depth: int, slots: dict[Term, int]) -> Callable[..., bool]:
+        nonlocal width
         if isinstance(node, BoolLit):
-            v = node.value
-            return lambda env, rels: v
+            value = node.value
+            return lambda env, rels: value
         if isinstance(node, RelLit):
-            name = node.name
-            static = model.relations.get(name)
-            arity_known = static.arity if static is not None else None
-            getters = []
-            for t in node.args:
-                if isinstance(t, Const):
-                    try:
-                        e = model.constants[t.name]
-                    except KeyError:
-                        raise EvalError(f"unknown constant {t.name}")
-                    getters.append(lambda env, e=e: e)
-                else:
-                    if t.name not in slots:
-                        raise EvalError(f"unbound variable {t.name}")
-                    i = slots[t.name]
-                    getters.append(lambda env, i=i: env[i])
-            if arity_known is not None and arity_known != len(node.args):
-                raise EvalError(
-                    f"relation {name} has arity {arity_known}, got {len(node.args)} arguments"
-                )
-            pos = node.positive
-            static_tuples = static.tuples if static is not None else None
-
-            def rel_fn(env, rels, name=name, getters=getters, pos=pos, static=static_tuples):
-                table = rels.get(name, static)
-                if table is None:
-                    raise EvalError(f"unknown relation {name}")
-                return (tuple(g(env) for g in getters) in table) == pos
-
-            return rel_fn
+            name, idx, pos = node.name, [slots[t] for t in node.args], node.positive
+            if len(idx) == 1:
+                i = idx[0]
+                return lambda env, rels: ((env[i],) in rels[name]) == pos
+            key = operator.itemgetter(*idx) if idx else lambda env: ()
+            return lambda env, rels: (key(env) in rels[name]) == pos
         if isinstance(node, EqLit):
-            gs = []
-            for t in (node.left, node.right):
-                if isinstance(t, Const):
-                    e = model.constants.get(t.name)
-                    if e is None:
-                        raise EvalError(f"unknown constant {t.name}")
-                    gs.append(lambda env, e=e: e)
-                else:
-                    if t.name not in slots:
-                        raise EvalError(f"unbound variable {t.name}")
-                    i = slots[t.name]
-                    gs.append(lambda env, i=i: env[i])
-            ga, gb = gs
-            pos = node.positive
-            return lambda env, rels: (ga(env) == gb(env)) == pos
-        if isinstance(node, Or):
-            fa, fb = comp(node.left, depth), comp(node.right, depth)
-            return lambda env, rels: fa(env, rels) or fb(env, rels)
-        if isinstance(node, And):
-            fa, fb = comp(node.left, depth), comp(node.right, depth)
+            i, j = slots[node.left], slots[node.right]
+            if node.positive:
+                return lambda env, rels: env[i] == env[j]
+            return lambda env, rels: env[i] != env[j]
+        if isinstance(node, (Or, And)):
+            fa, fb = comp(node.left, depth, slots), comp(node.right, depth, slots)
+            if isinstance(node, Or):
+                return lambda env, rels: fa(env, rels) or fb(env, rels)
             return lambda env, rels: fa(env, rels) and fb(env, rels)
-        if isinstance(node, (Exists, Forall)):
-            old = slots.get(node.var)
-            slot = depth
-            slots[node.var] = slot
-            fb = comp(node.body, depth + 1)
-            if old is None:
-                del slots[node.var]
-            else:
-                slots[node.var] = old
-            if isinstance(node, Exists):
+        # a block of like quantifiers: loop over a guard's tuples, or dom^k
+        exists, chain, body = isinstance(node, Exists), [], node
+        while isinstance(body, type(node)) and body.var not in chain:
+            chain.append(body.var)
+            body = body.body
+        parts = _spine(body, And if exists else Or)
+        g = _guard(parts, chain, exists)
+        if g is None:
+            bound, tuples = chain, lambda rels: itertools.product(domain, repeat=len(chain))
+        else:
+            guard, bound = parts[g].name, [t.name for t in parts[g].args]
+            body = (ands if exists else ors)(parts[:g] + parts[g + 1 :])
+            for v in reversed([v for v in chain if v not in bound]):
+                body = type(node)(v, body)
+            tuples = lambda rels: rels[guard]
+        lo, hi = depth, depth + len(bound)
+        width = max(width, hi)
+        fb = comp(body, hi, {**slots, **{Var(v): lo + k for k, v in enumerate(bound)}})
 
-                def ex_fn(env, rels, fb=fb, slot=slot, domain=domain):
-                    for m in domain:
-                        env[slot] = m
-                        if fb(env, rels):
-                            return True
-                    return False
+        def block(env, rels):
+            for t in tuples(rels):
+                env[lo:hi] = t
+                if fb(env, rels) == exists:
+                    return exists
+            return not exists
 
-                return ex_fn
+        return block
 
-            def all_fn(env, rels, fb=fb, slot=slot, domain=domain):
-                for m in domain:
-                    env[slot] = m
-                    if not fb(env, rels):
-                        return False
-                return True
+    fn = comp(rewritten, len(top), top)
+    tail = [model.constants[c] for c in constants] + [None] * (width - len(top))
+    static = {name: rel.tuples for name, rel in model.relations.items()}
 
-            return all_fn
-        raise EvalError(f"not a first-order formula: {node}")
-
-    max_depth = n_slots + count_nodes(phi)  # loose upper bound on quantifier depth
-    fn = comp(phi, n_slots)
-
-    def run(env: list, rels: Mapping[str, frozenset[Row]] = {}) -> bool:
-        if len(env) < max_depth:
-            env = list(env) + [None] * (max_depth - len(env))
-        return fn(env, rels)
+    def run(env, rels: Mapping[str, frozenset[Row]] = {}) -> bool:
+        try:
+            return fn([*env, *tail] if tail else env, {**static, **rels} if rels else static)
+        except KeyError as e:  # only relation lookups index by name
+            raise EvalError(f"unknown relation {e.args[0]}") from None
 
     return run
+
+
+# Bounded, since it keeps its formulas alive; callers run one formula on
+# several models in a row, so the latest few are the ones asked for again.
+@functools.lru_cache(maxsize=128)
+def _prepared(phi: Formula) -> tuple[frozenset[str], tuple[str, ...], tuple, Formula]:
+    """What the engine needs of `phi` that no model changes."""
+    if not is_first_order(phi):
+        raise EvalError(f"not a first-order formula: {phi}")
+    arities = sorted({(n.name, len(n.args)) for n in subformulas(phi) if isinstance(n, RelLit)})
+    constants = tuple(sorted(constant_names(phi)))
+    return free_variables(phi), constants, tuple(arities), simplify(_one_point(phi))
+
+
+def _one_point(phi: Formula) -> Formula:
+    """Replace, bottom-up, `A v. (... \\/ v != t \\/ ...)` and
+    `E v. (... /\\ v = t /\\ ...)` by the rest of the spine with t for v."""
+    fresh = FreshNames(all_variable_names(phi))
+
+    def rule(node: Formula) -> Formula:
+        if isinstance(node, (Exists, Forall)):
+            exists, v = isinstance(node, Exists), Var(node.var)
+            parts = _spine(node.body, And if exists else Or)
+            for i, lit in enumerate(parts):
+                if isinstance(lit, EqLit) and lit.positive == exists and lit.left != lit.right:
+                    if v in (lit.left, lit.right):
+                        t = lit.right if lit.left == v else lit.left
+                        rest = (ands if exists else ors)(parts[:i] + parts[i + 1 :])
+                        return substitute_vars(rest, {node.var: t}, fresh)
+        return node
+
+    return map_formula(phi, rule)
+
+
+def _spine(phi: Formula, kind: type) -> list[Formula]:
+    """The parts of the maximal `kind` (And or Or) tree at `phi`, left to right."""
+    return _spine(phi.left, kind) + _spine(phi.right, kind) if isinstance(phi, kind) else [phi]
+
+
+def _guard(parts: list[Formula], chain: list[str], exists: bool) -> int | None:
+    """The index in `parts` of the first relation literal (positive under E,
+    negative under A) over the most distinct variables, all bound by `chain`."""
+    found = [
+        i
+        for i, p in enumerate(parts)
+        if isinstance(p, RelLit) and p.positive == exists and p.args
+        and len({t.name for t in p.args if t.name in chain and isinstance(t, Var)}) == len(p.args)
+    ]
+    return max(found, key=lambda i: len(parts[i].args), default=None)

@@ -415,6 +415,41 @@ def desugar_possibility(phi: Formula, fresh: FreshNames | None = None) -> Formul
 
 
 # ---------------------------------------------------------------------------
+# Local simplification (semantics-preserving)
+
+
+def simplify(phi: Formula) -> Formula:
+    """Cheap bottom-up cleanup of first-order formulas (the translator's
+    optional output pass and the first-order engine's rewrite): boolean
+    units, trivial equalities between identical terms, and quantifiers
+    over dead or constant bodies.  Sound on models with nonempty domains."""
+    return map_formula(phi, _simplify_node)
+
+
+def _simplify_node(phi: Formula) -> Formula:
+    if isinstance(phi, EqLit) and phi.left == phi.right:
+        return TRUE if phi.positive else FALSE
+    if isinstance(phi, Or):
+        if TRUE in (phi.left, phi.right):
+            return TRUE
+        if phi.left == FALSE:
+            return phi.right
+        if phi.right == FALSE:
+            return phi.left
+    if isinstance(phi, And):
+        if FALSE in (phi.left, phi.right):
+            return FALSE
+        if phi.left == TRUE:
+            return phi.right
+        if phi.right == TRUE:
+            return phi.left
+    if isinstance(phi, (Exists, Forall)):
+        if isinstance(phi.body, BoolLit) or phi.var not in free_variables(phi.body):
+            return phi.body
+    return phi
+
+
+# ---------------------------------------------------------------------------
 # Capture-avoiding substitution
 
 

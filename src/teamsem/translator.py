@@ -34,11 +34,8 @@ from typing import Callable, Iterable
 from .atoms import ATOM_REL, AtomRegistry, DEFAULT_REGISTRY
 from .syntax import (
     And,
-    BoolLit,
     DepAtom,
-    EqLit,
     Exists,
-    FALSE,
     Forall,
     Formula,
     FreshNames,
@@ -47,7 +44,6 @@ from .syntax import (
     RelLit,
     RESERVED_PREFIX,
     RestrictedBy,
-    TRUE,
     Var,
     all_variable_names,
     ands,
@@ -64,6 +60,7 @@ from .syntax import (
     map_formula,
     negate_fo,
     neq_tuple,
+    simplify,
     subformulas,
     substitute_vars,
 )
@@ -347,40 +344,6 @@ def _distinct_binders(
         return seen
 
     return substitute_vars(phi, {}, fresh, clash)
-
-
-# ---------------------------------------------------------------------------
-# Local simplification (optional, semantics-preserving)
-
-
-def simplify(phi: Formula) -> Formula:
-    """Cheap bottom-up cleanup of translator output: boolean units, trivial
-    equalities between identical terms, and quantifiers over dead or
-    constant bodies.  Sound on models with nonempty domains."""
-    return map_formula(phi, _simplify_node)
-
-
-def _simplify_node(phi: Formula) -> Formula:
-    if isinstance(phi, EqLit) and phi.left == phi.right:
-        return TRUE if phi.positive else FALSE
-    if isinstance(phi, Or):
-        if TRUE in (phi.left, phi.right):
-            return TRUE
-        if phi.left == FALSE:
-            return phi.right
-        if phi.right == FALSE:
-            return phi.left
-    if isinstance(phi, And):
-        if FALSE in (phi.left, phi.right):
-            return FALSE
-        if phi.left == TRUE:
-            return phi.right
-        if phi.right == TRUE:
-            return phi.left
-    if isinstance(phi, (Exists, Forall)):
-        if isinstance(phi.body, BoolLit) or phi.var not in free_variables(phi.body):
-            return phi.body
-    return phi
 
 
 # ---------------------------------------------------------------------------

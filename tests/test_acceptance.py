@@ -40,23 +40,26 @@ GOLDENS = pathlib.Path(__file__).parent / "goldens" / "translations.json"
 
 @pytest.fixture
 def verdict(capsys):
-    """One console line per criterion, printed through the capture."""
+    """One console line per criterion, with its wall time, printed through
+    the capture."""
 
     @contextlib.contextmanager
     def gate(number, label):
+        start = time.monotonic()
         try:
             yield
         except BaseException:
-            _emit(capsys, number, label, "FAIL")
+            _emit(capsys, number, label, "FAIL", start)
             raise
-        _emit(capsys, number, label, "PASS")
+        _emit(capsys, number, label, "PASS", start)
 
     return gate
 
 
-def _emit(capsys, number, label, outcome):
+def _emit(capsys, number, label, outcome, start):
+    elapsed = time.monotonic() - start
     with capsys.disabled():
-        print(f"[criterion {number:02d}] {label}: {outcome}", flush=True)
+        print(f"[criterion {number:02d}] {label}: {outcome} ({elapsed:.1f} s)", flush=True)
 
 
 def assert_clean(reports):

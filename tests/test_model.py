@@ -1,4 +1,4 @@
-"""Structures, teams, the team algebra, and the per-assignment evaluator."""
+"""Structures, teams, the team algebra, and the first-order engine."""
 
 import itertools
 import json
@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 import pytest
 
+from fo_reference import reference_eval
 from teamsem import Model, Relation, Team, parse
+from teamsem.harness import DEFAULT_TRANSLATION_ATOMS, enumerate_models, enumerate_teams, generate_formulas
 from teamsem.model import (
     EvalError,
     ModelError,
@@ -23,6 +25,20 @@ from teamsem.model import (
     team_project,
     team_restrict,
 )
+from teamsem.syntax import (
+    FALSE,
+    TRUE,
+    And,
+    Const,
+    EqLit,
+    Exists,
+    Forall,
+    Or,
+    RelLit,
+    Var,
+    free_variables,
+)
+from teamsem.translator import translate
 
 def team(vars, *rows):
     return Team(tuple(vars), frozenset(tuple(r) for r in rows))
@@ -168,7 +184,7 @@ def test_choice_function_count_formula(rows, width):
     assert sum(1 for _ in enumerate_choice_functions(X, m, width)) == expected
 
 
-# --- the per-assignment evaluator ---------------------------------------------
+# --- the first-order engine ----------------------------------------------------
 
 
 def test_tarski_eval_basics(m2):
@@ -192,6 +208,28 @@ def test_tarski_eval_errors(m2):
         tarski_eval(m2, {"x": "a"}, parse("Q(x)"))  # unknown relation
 
 
+def test_both_entry_points_reject_an_unbound_variable_before_rewriting(m2):
+    # x = x simplifies to T, which would hide z if the check came later
+    phi = parse("x = x \\/ z = x")
+    with pytest.raises(EvalError, match="^unbound variable z$"):
+        tarski_eval(m2, {"x": "a"}, phi)
+    with pytest.raises(EvalError, match="^unbound variable z$"):
+        compile_fo(m2, phi, {"x": 0}, 1)
+    with pytest.raises(EvalError, match="^unknown constant c9$"):
+        tarski_eval(m2, {}, parse("c9 = c9", constants=("c9",)))
+
+
+def test_both_entry_points_raise_an_unknown_relation_when_run(m2):
+    phi = parse("P(x) \\/ Q(x)")
+    assert tarski_eval(m2, {"x": "a"}, phi)  # P(a) holds, Q is never reached
+    with pytest.raises(EvalError, match="^unknown relation Q$"):
+        tarski_eval(m2, {"x": "b"}, phi)
+    run = compile_fo(m2, phi, {"x": 0}, 1)  # compiling does not look Q up
+    assert run(["b"], {"Q": frozenset({("b",)})})
+    with pytest.raises(EvalError, match="^unknown relation Q$"):
+        run(["b"])
+
+
 _fo_texts = st.sampled_from(
     [
         "P(x)",
@@ -209,7 +247,101 @@ def test_compile_fo_matches_tarski(text, vx, vy):
     m = Model(("a", "b"), {"P": Relation(1, frozenset({("a",)}))}, {})
     phi = parse(text)
     fn = compile_fo(m, phi, {"x": 0, "y": 1}, 2)
-    assert fn([vx, vy], {}) == tarski_eval(m, {"x": vx, "y": vy}, phi)
+    assert fn([vx, vy], {}) == reference_eval(m, {"x": vx, "y": vy}, phi)
+
+
+# The engine against the reference on random formulas over a 3-element
+# model: binder names x, y, z are reused (so capture matters), and the
+# one-point and relation-guard shapes the engine rewrites are drawn on
+# purpose, over the static relation R and the supplied relation S.
+M3 = Model(
+    ("a", "b", "c"),
+    {
+        "P": Relation(1, frozenset({("a",), ("c",)})),
+        "R": Relation(2, frozenset({("a", "b"), ("b", "c"), ("c", "a"), ("b", "b")})),
+    },
+    {"c0": "a"},
+)
+_VARS = ("x", "y", "z")
+_var = st.sampled_from(_VARS)
+_terms = st.one_of(st.builds(Var, _var), st.just(Const("c0")))
+_binary = st.sampled_from(("R", "S"))
+_leaves = st.one_of(
+    st.sampled_from((TRUE, FALSE)),
+    st.builds(lambda sign, t: RelLit("P", sign, (t,)), st.booleans(), _terms),
+    st.builds(lambda n, sign, a, b: RelLit(n, sign, (a, b)), _binary, st.booleans(), _terms, _terms),
+    st.builds(EqLit, st.booleans(), _terms, _terms),
+)
+
+
+def _compound(inner):
+    return st.one_of(
+        st.builds(Or, inner, inner),
+        st.builds(And, inner, inner),
+        st.builds(Exists, _var, inner),
+        st.builds(Forall, _var, inner),
+        st.builds(lambda v, t, b: Forall(v, Or(b, EqLit(False, Var(v), t))), _var, _terms, inner),
+        st.builds(lambda v, t, b: Exists(v, And(EqLit(True, t, Var(v)), b)), _var, _terms, inner),
+        st.builds(
+            lambda n, v, w, b: Forall(v, Forall(w, Or(RelLit(n, False, (Var(v), Var(w))), b))),
+            _binary, _var, _var, inner,
+        ),
+        st.builds(
+            lambda n, v, w, b: Exists(v, Exists(w, And(b, RelLit(n, True, (Var(w), Var(v)))))),
+            _binary, _var, _var, inner,
+        ),
+    )
+
+
+_fo_formulas = st.recursive(_leaves, _compound, max_leaves=10)
+_pairs = st.frozensets(st.tuples(st.sampled_from(M3.domain), st.sampled_from(M3.domain)))
+
+
+def assert_engine_matches_reference(model, phi, rels):
+    xs = tuple(sorted(free_variables(phi)))
+    run = compile_fo(model, phi, {v: i for i, v in enumerate(xs)}, len(xs))
+    for values in itertools.product(model.domain, repeat=len(xs)):
+        want = reference_eval(model, dict(zip(xs, values)), phi, rels)
+        assert run(list(values), rels) == want, (str(phi), values)
+
+
+@given(_fo_formulas, _pairs)
+def test_engine_matches_the_reference_on_random_formulas(phi, s):
+    assert_engine_matches_reference(M3, phi, {"S": s})
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "A y. (y != x \\/ (E x. R(x, y)))",  # substituting x for y renames the inner x
+        "E y. (y = x /\\ (A x. !R(y, x) \\/ P(x)))",
+        "A x. A y. (x != y \\/ !R(x, y) \\/ (A y. R(y, x)))",
+        "E x. E y. (R(y, x) /\\ S(x, y) /\\ (E x. x = y))",
+        "A x. A x. (!S(x, x) \\/ P(x))",  # a repeated binder ends the block
+        "A z. (!R(x, z) \\/ z != y \\/ P(z))",
+        "A x. A y. (!S(x, y) \\/ F)",  # an empty guarded block
+    ],
+)
+def test_engine_capture_and_guard_cases(text):
+    s = frozenset({("a", "b"), ("c", "c")})
+    assert_engine_matches_reference(M3, parse(text), {"S": s})
+
+
+def test_engine_matches_the_reference_on_the_translation_corpus():
+    # the raw criterion-01 sentences on 2-element models, teams of at most
+    # one row, the team relation supplied per team
+    corpus = generate_formulas(DEFAULT_TRANSLATION_ATOMS, {"P": 1}, 3, ("x", "y"))
+    assert len(corpus) == 219
+    for phi in corpus:
+        xs = tuple(sorted(free_variables(phi))) or ("x",)
+        result = translate(phi, xs)
+        for model in enumerate_models({"P": 1}, 2):
+            run = compile_fo(model, result.sentence, {}, 0)
+            for team in enumerate_teams(model, xs, 1):
+                rels = {result.relation: team_project(team, xs)}
+                assert run([], rels) == reference_eval(model, {}, result.sentence, rels), (
+                    str(phi), model.relations, team.rows,
+                )
 
 
 # --- serialization -----------------------------------------------------------
