@@ -13,16 +13,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from .model import (
-    Model,
-    Row,
-    Team,
-    compile_fo,
-    letters,
-    subsets,
-    tarski_eval,  # unused here; bench/tracer.py patches it by this name
-    team_project,
-)
+from .model import Model, Row, Team, compile_fo, letters, subsets, team_project
+from .model import tarski_eval  # noqa: F401  (bench/tracer.py patches it by this name)
 from .syntax import (
     DepAtom,
     Formula,

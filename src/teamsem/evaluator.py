@@ -38,7 +38,7 @@ from .model import (
     enumerate_covers,
     subsets,
     supplement,
-    tarski_eval,  # unused here; bench/tracer.py patches it by this name
+    tarski_eval,  # noqa: F401  (bench/tracer.py patches it by this name)
     team_restrict,
 )
 from .syntax import (

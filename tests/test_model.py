@@ -10,7 +10,12 @@ import pytest
 
 from fo_reference import reference_eval
 from teamsem import Model, Relation, Team, parse
-from teamsem.harness import DEFAULT_TRANSLATION_ATOMS, enumerate_models, enumerate_teams, generate_formulas
+from teamsem.harness import (
+    DEFAULT_TRANSLATION_ATOMS,
+    enumerate_models,
+    enumerate_teams,
+    generate_formulas,
+)
 from teamsem.model import (
     EvalError,
     ModelError,
