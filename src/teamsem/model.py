@@ -331,7 +331,7 @@ def compile_fo(
     # slots: the variables', then one per constant, then the quantifiers'
     top: dict[Term, int] = {Var(v): i for v, i in var_slots.items()}
     top.update({Const(c): n_slots + i for i, c in enumerate(constants)})
-    width = len(top)
+    width = first = n_slots + len(constants)
 
     def comp(node: Formula, depth: int, slots: dict[Term, int]) -> Callable[..., bool]:
         nonlocal width
@@ -383,8 +383,8 @@ def compile_fo(
 
         return block
 
-    fn = comp(rewritten, len(top), top)
-    tail = [model.constants[c] for c in constants] + [None] * (width - len(top))
+    fn = comp(rewritten, first, top)
+    tail = [model.constants[c] for c in constants] + [None] * (width - first)
     static = {name: rel.tuples for name, rel in model.relations.items()}
 
     def run(env, rels: Mapping[str, frozenset[Row]] = {}) -> bool:

@@ -255,6 +255,15 @@ def test_compile_fo_matches_tarski(text, vx, vy):
     assert fn([vx, vy], {}) == reference_eval(m, {"x": vx, "y": vy}, phi)
 
 
+def test_compile_fo_keeps_constant_and_quantifier_slots_apart(m3):
+    # slot 1 is spare: the constant and the quantifier must not share it
+    phi = parse("E y. y != c0 /\\ R(x, y) /\\ x = c0", constants=("c0",))
+    run = compile_fo(m3, phi, {"x": 0}, 2)
+    for x in m3.domain:
+        assert run([x, None]) == reference_eval(m3, {"x": x}, phi)
+    assert run(["a", None])
+
+
 # The engine against the reference on random formulas over a 3-element
 # model: binder names x, y, z are reused (so capture matters), and the
 # one-point and relation-guard shapes the engine rewrites are drawn on
