@@ -11,6 +11,7 @@ import pytest
 import teamsem
 from teamsem import Model, Relation, Team, parse
 from teamsem.cli import _ast_dict, main
+from teamsem.harness import SWEEPS
 
 MICRO_GRID = "doms=2;max_rows=2"
 
@@ -334,11 +335,17 @@ def test_jobs_below_one_is_a_usage_error(capsys, jobs):
     assert "jobs must be at least 1" in capsys.readouterr().err
 
 
-def test_check_theorem_micro_grid(capsys):
-    assert main(["check", "theorem", "isomorphism", "--grid", MICRO_GRID]) == 0
-    reports = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-    assert reports and all(r["ok"] for r in reports)
-    assert reports[0]["name"] == "isomorphism"
+SWEEP_GOLDENS = json.loads(
+    (pathlib.Path(__file__).parent / "goldens" / "sweeps_micro.json").read_text()
+)
+
+
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_check_theorem_micro_grid(capsys, name):
+    # the grid of the sweep goldens (test_sweep_goldens.GRID)
+    grid = "doms=2;max_rows=2;max_depth=1"
+    assert main(["check", "theorem", name, "--grid", grid]) == 0
+    assert capsys.readouterr().out.splitlines() == SWEEP_GOLDENS[name]["summary"]
 
 
 def test_check_theorem_unknown_name(capsys):
