@@ -49,10 +49,6 @@ class Height:
     value: int | None
     contributions: tuple[tuple[str, int | None], ...]
 
-    @property
-    def bounded(self) -> bool:
-        return self.value is not None
-
     def __str__(self) -> str:
         return "unbounded" if self.value is None else str(self.value)
 
@@ -103,7 +99,6 @@ def find_small_witness(
     team: Team,
     phi: Formula,
     registry: AtomRegistry | None = None,
-    mode: str = "fast",
     evaluator: Evaluator | None = None,
 ) -> Team:
     """A smallest subteam of `team` satisfying `phi`, searched in size
@@ -119,7 +114,7 @@ def find_small_witness(
     height = compute_height(phi, reg)
     if height.value is None:
         raise AnalysisError("the formula contains an unbounded atom; no witness bound exists")
-    ev = evaluator or Evaluator(model, registry=reg, mode=mode)
+    ev = evaluator or Evaluator(model, registry=reg)
     if not ev.evaluate(phi, team):
         raise AnalysisError("the team does not satisfy the formula; nothing to shrink")
     for rows in subsets(team.rows, high=height.value):

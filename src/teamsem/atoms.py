@@ -80,9 +80,6 @@ class AtomDefinition:
     def arity(self) -> int:
         return sum(self.group_widths)
 
-    def key(self) -> tuple:
-        return (self.name, self.group_widths, self.param)
-
 
 # ---------------------------------------------------------------------------
 # Direct evaluators (over the projected relation)
@@ -630,7 +627,7 @@ def _truth_of(sentence: Formula) -> Callable[[Model, frozenset[Row]], bool]:
     def truth(model: Model, rel: frozenset[Row]) -> bool:
         run = runs.get(model.domain)
         if run is None:
-            run = runs[model.domain] = compile_fo(Model(model.domain), sentence, {}, 0)
+            run = runs[model.domain] = compile_fo(Model(model.domain), sentence, ())
         return run([], {ATOM_REL: rel})
 
     return truth

@@ -31,12 +31,12 @@ from .evaluator import EvalError, Evaluator, MODES
 from .harness import (
     GridConfig,
     HarnessError,
-    THEOREM_SUITES,
     check_formula_equivalence,
     check_translation_equivalence,
     grid_from_env,
+    run_suite,
 )
-from .model import Model, Team
+from .model import Model, ModelError, Team
 from .syntax import (
     And,
     BoolLit,
@@ -329,12 +329,7 @@ def cmd_check_equiv(args: argparse.Namespace) -> int:
 
 
 def cmd_check_theorem(args: argparse.Namespace) -> int:
-    suite = THEOREM_SUITES.get(args.name)
-    if suite is None:
-        raise HarnessError(
-            f"unknown theorem suite {args.name!r}; known: {', '.join(sorted(THEOREM_SUITES))}"
-        )
-    reports = suite(grid=_grid(args), jobs=args.jobs, verbose=args.verbose)
+    reports = run_suite(args.name, _grid(args), args.jobs, args.verbose)
     ok = True
     for report in reports:
         ok = ok and report.ok
@@ -529,6 +524,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         EvalError,
         AnalysisError,
         HarnessError,
+        ModelError,
     ) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -287,8 +287,7 @@ class Evaluator:
         self.stats.tarski_rows += 1
         got = self._fo.get((id(phi), vars))
         if got is None:
-            slots = {v: i for i, v in enumerate(vars)}
-            got = (compile_fo(self.model, phi, slots, len(vars)), phi)
+            got = (compile_fo(self.model, phi, vars), phi)
             self._fo[(id(phi), vars)] = got
         return got[0](row)
 

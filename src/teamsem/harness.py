@@ -2,12 +2,13 @@
 corpora, and the equivalence sweeps that stand in for proofs.
 
 The sweep layer has three parts.  `SWEEPS` is the table of the eight
-theorem suites: each `Sweep` entry names its corpus builder, its
-comparison and its tiers, and each `Tier` is one report with its own
-mode (or pair of modes), grid, cost budget and item filter.  The seven
-comparisons (`_equivalence`, `_translation`, `_flatness`, `_locality`,
-`_upflat`, `_isomorphism`, `_height`) only say how to evaluate the teams
-of one (item, model) pair and what the verdicts are.  One runner,
+theorem suites, and `run_suite(name)` runs one: each `Sweep` entry names
+its corpus builder, its comparison, its tiers and its model signature,
+and each `Tier` is one report with its own mode (or pair of modes),
+grid, cost budget and item filter.  The seven comparisons
+(`_equivalence`, `_translation`, `_flatness`, `_locality`, `_upflat`,
+`_isomorphism`, `_height`) only say how to evaluate the teams of one
+(item, model) pair and what the verdicts are.  One runner,
 `_sweep`, owns the rest: the cost-budget gate, the checked and skipped
 counts, the mismatch and verbose records, the merge and the worker pool.
 `check_formula_equivalence` and `check_translation_equivalence` are
@@ -105,6 +106,8 @@ class GridConfig:
             raise HarnessError("domains are capped at eight elements")
         if self.max_rows < 0 or self.max_depth < 0 or self.max_vars < 1:
             raise HarnessError("grid sizes must be nonnegative (and at least one variable)")
+        if self.max_vars > 2:
+            raise HarnessError("corpora are capped at two variables")
 
     @staticmethod
     def parse(text: str) -> "GridConfig":
@@ -143,13 +146,13 @@ class GridConfig:
 DEFAULT_GRID = GridConfig()
 
 
-def grid_from_env(default: GridConfig | None = None) -> GridConfig:
+def grid_from_env() -> GridConfig:
     """The default grid, overridden by the TEAMSEM_GRID environment
     variable when set (for CI sizing)."""
     text = os.environ.get(GRID_ENV_VAR)
     if text:
         return GridConfig.parse(text)
-    return default or DEFAULT_GRID
+    return DEFAULT_GRID
 
 
 # ---------------------------------------------------------------------------
@@ -176,37 +179,9 @@ def permute_team(team: Team, mapping: Mapping[str, str]) -> Team:
     )
 
 
-def _model_key(model: Model) -> tuple:
-    return (
-        tuple(sorted(model.domain)),
-        tuple(
-            sorted(
-                (name, rel.arity, tuple(sorted(rel.tuples)))
-                for name, rel in model.relations.items()
-            )
-        ),
-        tuple(sorted(model.constants.items())),
-    )
-
-
-def _is_canonical(model: Model) -> bool:
-    base = _model_key(model)
-    for perm in itertools.permutations(model.domain):
-        mapping = dict(zip(model.domain, perm))
-        if _model_key(permute_model(model, mapping)) < base:
-            return False
-    return True
-
-
-def enumerate_models(
-    signature: Mapping[str, int], max_dom: int, iso_reduce: bool = False
-) -> Iterator[Model]:
+def enumerate_models(signature: Mapping[str, int], max_dom: int) -> Iterator[Model]:
     """All models over the signature with 2..max_dom elements, in a fixed
-    order (domain size, then relation tables by size and contents).
-
-    With `iso_reduce` only the least representative of each isomorphism
-    class (under domain permutations) is kept.
-    """
+    order (domain size, then relation tables by size and contents)."""
     if max_dom < 2:
         raise HarnessError("teams need at least two domain elements to matter")
     if max_dom > 8:
@@ -219,7 +194,7 @@ def enumerate_models(
             for name in names
         ]
         for combo in itertools.product(*per_relation):
-            model = Model(
+            yield Model(
                 dom,
                 {
                     name: Relation(signature[name], rel)
@@ -227,9 +202,6 @@ def enumerate_models(
                 },
                 {},
             )
-            if iso_reduce and not _is_canonical(model):
-                continue
-            yield model
 
 
 def enumerate_teams(
@@ -241,15 +213,13 @@ def enumerate_teams(
         yield Team(vars, rows)
 
 
-def _grid_models(
-    signature: Mapping[str, int], grid: GridConfig, iso_reduce: bool = False
-) -> list[Model]:
+def _grid_models(signature: Mapping[str, int], grid: GridConfig) -> list[Model]:
     """Exactly one pass per requested domain size (enumerate_models ranges
     from two upward, so smaller sizes must be filtered back out)."""
     return [
         model
         for d in grid.doms
-        for model in enumerate_models(signature, d, iso_reduce)
+        for model in enumerate_models(signature, d)
         if len(model.domain) == d
     ]
 
@@ -549,7 +519,7 @@ def _translation(item, model, rows, modes, registry):
     mode = modes[0]
     yield [(phi, mode)]
     ev = Evaluator(model, registry=registry, mode=mode)
-    compiled = compile_fo(model, sentence, {}, 0)
+    compiled = compile_fo(model, sentence, ())
     extra = {
         "formula": phi,
         "tuple": list(tuple_vars),
@@ -575,7 +545,7 @@ def _flatness(phi, model, rows, modes, registry):
     yield [(phi, mode)]
     xs = _free(phi)
     ev = Evaluator(model, registry=registry, mode=mode)
-    compiled = compile_fo(model, phi, {v: i for i, v in enumerate(xs)}, len(xs))
+    compiled = compile_fo(model, phi, xs)
     extra = {"formula": phi, "mode": mode}
     for team in enumerate_teams(model, xs, rows):
         a = ev.evaluate(phi, team)
@@ -602,7 +572,7 @@ def _upflat(phi, model, rows, modes, registry):
     yield [(phi, mode)]
     xs = _free(phi)
     ev = Evaluator(model, registry=registry, mode=mode)
-    compiled = compile_fo(model, flatten(phi), {v: i for i, v in enumerate(xs)}, len(xs))
+    compiled = compile_fo(model, flatten(phi), xs)
     for big_team in enumerate_teams(model, xs, rows):
         team_rows = sorted(big_team.rows)
         flat_ok = all(compiled(row) for row in team_rows)
@@ -762,7 +732,6 @@ def check_formula_equivalence(
     budget: float | None = None,
     jobs: int = 1,
     verbose: bool = False,
-    iso_reduce: bool = False,
 ) -> Report:
     """Pointwise comparison of two formulas over every model and team of
     the grid."""
@@ -790,7 +759,7 @@ def check_formula_equivalence(
     )
     tasks = [
         ((phi, psi, vars), model, grid.max_rows)
-        for model in _grid_models(signature, grid, iso_reduce)
+        for model in _grid_models(signature, grid)
     ]
     return _sweep(report, _equivalence, tasks, mode, budget, registry, jobs, verbose)
 
@@ -805,7 +774,6 @@ def check_translation_equivalence(
     budget: float | None = None,
     jobs: int = 1,
     verbose: bool = False,
-    iso_reduce: bool = False,
     sentence: Formula | None = None,
     relation: str | None = None,
 ) -> Report:
@@ -840,7 +808,7 @@ def check_translation_equivalence(
     )
     tasks = [
         ((phi, tuple_vars, sentence, relation), model, grid.max_rows)
-        for model in _grid_models(signature, grid, iso_reduce)
+        for model in _grid_models(signature, grid)
     ]
     return _sweep(report, _translation, tasks, mode, budget, registry, jobs, verbose)
 
@@ -864,64 +832,21 @@ class Tier(NamedTuple):
     wide_rows: int | None = None
     budget: float | None = None
     only: Callable[[object], bool] | None = None
-    skip: Callable[[object, AtomRegistry | None], bool] | None = None
+    skip: Callable[[object], bool] | None = None
 
 
 class Sweep(NamedTuple):
-    """A theorem suite: `corpus(grid, registry, signature, **options)`
-    builds its items, `compare` checks one (item, model) pair, and each
-    tier yields one report."""
+    """A theorem suite: `corpus(grid, signature)` builds its items,
+    `compare` checks one (item, model) pair on the models over
+    `signature`, and each tier yields one report, with `params` echoed
+    in it as lists."""
 
     name: str
-    corpus: Callable[..., list]
+    corpus: Callable[[GridConfig, Mapping[str, int]], list]
     compare: Callable
     tiers: tuple[Tier, ...]
-
-
-def _run_suite(
-    sweep: Sweep,
-    grid: GridConfig | None,
-    registry: AtomRegistry | None,
-    jobs: int,
-    verbose: bool,
-    signature: Mapping[str, int] | None,
-    **options,
-) -> list[Report]:
-    """One report per tier of `sweep`.  `options` go to the corpus builder
-    and are echoed, as lists, in every report's params."""
-    grid = grid or DEFAULT_GRID
-    signature = {"P": 1} if signature is None else signature
-    corpus = sweep.corpus(grid, registry, signature, **options)
-    reports = []
-    for tier in sweep.tiers:
-        tier_grid = grid
-        if tier.rows is not None:
-            tier_grid = replace(grid, doms=(2,), max_rows=min(tier.rows, grid.max_rows))
-        items = [item for item in corpus if tier.only is None or tier.only(item)]
-        report = Report(
-            name=sweep.name,
-            params={
-                "tier": tier.label,
-                "grid": tier_grid.as_dict(),
-                "corpus_size": len(items),
-                "mode": tier.mode if isinstance(tier.mode, str) else "/".join(tier.mode),
-                **{key: list(value) for key, value in options.items()},
-            },
-            records=[] if verbose else None,
-        )
-        checkable = [
-            item for item in items if tier.skip is None or not tier.skip(item, registry)
-        ]
-        report.skipped = len(items) - len(checkable)
-        models = _grid_models(signature, tier_grid)
-        tasks = [
-            (item, model, _tier_rows(tier, tier_grid, model))
-            for item in checkable
-            for model in models
-        ]
-        _sweep(report, sweep.compare, tasks, tier.mode, tier.budget, registry, jobs, verbose)
-        reports.append(report)
-    return reports
+    signature: Mapping[str, int] = {"P": 1}
+    params: Mapping[str, Sequence] = {}
 
 
 def _tier_rows(tier: Tier, tier_grid: GridConfig, model: Model) -> int:
@@ -938,26 +863,26 @@ def _formulas(atoms: Sequence[str], **caps) -> Callable[..., list[Formula]]:
     """The corpus builder of `generate_formulas` over `atoms` at the
     suite grid's depth."""
 
-    def build(grid, registry, signature):
-        return generate_formulas(atoms, signature, grid.max_depth, _vars(grid), registry, **caps)
+    def build(grid, signature):
+        return generate_formulas(atoms, signature, grid.max_depth, _vars(grid), **caps)
 
     return build
 
 
-def _translation_corpus(grid, registry, signature, atoms):
+def _translation_corpus(grid, signature):
     items = []
-    for phi in generate_formulas(atoms, signature, grid.max_depth, _vars(grid), registry):
+    for phi in generate_formulas(DEFAULT_TRANSLATION_ATOMS, signature, grid.max_depth, _vars(grid)):
         xs = _fv_tuple(phi)
-        result = translate(phi, xs, registry)
+        result = translate(phi, xs)
         items.append((phi, xs, result.sentence, result.relation))
     return items
 
 
-def _possibility_corpus(grid, registry, signature):
+def _possibility_corpus(grid, signature):
     """Possibility of every body of a depth-two corpus, with its
     two-constant-witness expansion."""
     bodies = generate_formulas(
-        POSSIBILITY_ATOMS, signature, min(2, grid.max_depth), _vars(grid), registry,
+        POSSIBILITY_ATOMS, signature, min(2, grid.max_depth), _vars(grid),
         binary_cap=3, mix_cap=2, quant_cap=2,
     )
     phis = [Possibly(body) for body in bodies]
@@ -970,7 +895,7 @@ def _quantifier_free(phi: Formula) -> bool:
     )
 
 
-def _definability_corpus(grid, registry, signature):
+def _definability_corpus(grid, signature):
     """Unit-width instances of the two definable negative atoms, including
     collapsed variable patterns, with their expansions."""
     instances = [
@@ -984,40 +909,55 @@ def _definability_corpus(grid, registry, signature):
     return [(atom, desugar_negated_atoms(atom), _free(atom)) for atom in instances]
 
 
-def _isomorphism_corpus(grid, registry, signature):
+def _isomorphism_corpus(grid, signature):
     formulas = generate_formulas(
-        LOCALITY_ATOMS, signature, min(2, grid.max_depth), _vars(grid), registry,
+        LOCALITY_ATOMS, signature, min(2, grid.max_depth), _vars(grid),
         binary_cap=3, mix_cap=2, quant_cap=2,
     )
     return _spread(formulas, 12)
 
 
-def _unbounded(phi: Formula, registry: AtomRegistry | None) -> bool:
-    return compute_height(phi, registry).value is None
+def _unbounded(phi: Formula) -> bool:
+    return compute_height(phi).value is None
 
 
 SWEEPS: dict[str, Sweep] = {
     sweep.name: sweep
     for sweep in (
+        # team satisfaction against compiled sentences over the whole
+        # corpus; the oracle tier re-runs the affordable points
         Sweep("translation", _translation_corpus, _translation, (
             Tier("fast", "fast"),
             Tier("oracle", "oracle", rows=2, budget=DEFAULT_COST_BUDGET),
-        )),
+        ), params={"atoms": DEFAULT_TRANSLATION_ATOMS}),
+        # first-order formulas hold on a team iff on each of its assignments
         Sweep("flatness", _formulas(()), _flatness, (
             Tier("fast", "fast"),
             Tier("oracle", "oracle", rows=3, budget=DEFAULT_COST_BUDGET),
         )),
+        # the fast evaluator restricts teams itself, which would make this
+        # check circular, so both tiers run pruning-disabled modes; the
+        # three-element models cap teams at two rows for cost
         Sweep("locality", _formulas(LOCALITY_ATOMS, binary_cap=4, mix_cap=2, quant_cap=3), _locality, (
             Tier("oracle", "oracle", wide_rows=2, budget=DEFAULT_COST_BUDGET),
             Tier("naive", "naive", rows=2, budget=DEFAULT_COST_BUDGET),
         )),
+        # over upwards closed atoms: satisfaction forces the flattening
+        # pointwise, and a satisfying subteam of a pointwise-flat team
+        # forces the team (every subteam is enumerated)
         Sweep("upflat", _formulas(UPWARD_ATOMS), _upflat, (
             Tier("fast", "fast"),
             Tier("oracle", "oracle", rows=3, budget=DEFAULT_COST_BUDGET),
         )),
+        # formulas containing totality have no height bound and are counted
+        # skipped
         Sweep("height", _formulas(BOUNDED_ATOMS), _height, (
             Tier("fast", "fast", skip=_unbounded),
         )),
+        # the oracle-vs-fast tier runs the operator on the subset-enumerating
+        # path against the expansion on the fast path, so the two shortcuts
+        # are never trusted jointly; exhaustion makes the fully naive tier
+        # affordable only for quantifier-free bodies on one-row teams
         Sweep("possibility", _possibility_corpus, _equivalence, (
             Tier("fast", "fast"),
             Tier("oracle-vs-fast", ("oracle", "fast"), budget=DEFAULT_COST_BUDGET),
@@ -1025,12 +965,15 @@ SWEEPS: dict[str, Sweep] = {
         )),
         # the two-row naive tier affords the single-quantifier expansion but
         # not the triple-quantifier one (whose points it skips by estimate);
-        # on one-row teams exhaustion is cheap enough to run everything ungated
+        # on one-row teams exhaustion is cheap enough to run everything
+        # ungated.  The atoms mention no relation, so the models have none.
         Sweep("definability", _definability_corpus, _equivalence, (
             Tier("fast", "fast"),
             Tier("naive-2rows", "naive", rows=2, budget=DEFAULT_COST_BUDGET),
             Tier("naive-1row", "naive", rows=1),
-        )),
+        ), signature={}),
+        # three-element models are spot-checked at two rows, two-element
+        # models in full
         Sweep("isomorphism", _isomorphism_corpus, _isomorphism, (
             Tier("fast", "fast", wide_rows=2),
         )),
@@ -1038,125 +981,40 @@ SWEEPS: dict[str, Sweep] = {
 }
 
 
-def run_translation_suite(
-    grid: GridConfig | None = None,
-    registry: AtomRegistry | None = None,
-    jobs: int = 1,
-    verbose: bool = False,
-    atoms: Sequence[str] = DEFAULT_TRANSLATION_ATOMS,
-    signature: Mapping[str, int] | None = None,
+def run_suite(
+    name: str, grid: GridConfig | None = None, jobs: int = 1, verbose: bool = False
 ) -> list[Report]:
-    """Team satisfaction against compiled sentences over the whole corpus:
-    the broad tier covers the full grid with the fast evaluator, the
-    independence tier re-runs affordable points on the oracle path."""
-    return _run_suite(SWEEPS["translation"], grid, registry, jobs, verbose, signature, atoms=atoms)
-
-
-def run_flatness_suite(
-    grid: GridConfig | None = None,
-    registry: AtomRegistry | None = None,
-    jobs: int = 1,
-    verbose: bool = False,
-    signature: Mapping[str, int] | None = None,
-) -> list[Report]:
-    """Team satisfaction of first-order formulas equals satisfaction by
-    every assignment separately."""
-    return _run_suite(SWEEPS["flatness"], grid, registry, jobs, verbose, signature)
-
-
-def run_locality_suite(
-    grid: GridConfig | None = None,
-    registry: AtomRegistry | None = None,
-    jobs: int = 1,
-    verbose: bool = False,
-    signature: Mapping[str, int] | None = None,
-) -> list[Report]:
-    """Satisfaction only depends on the columns of free variables: teams
-    padded with a dummy variable agree with their restrictions.
-
-    The fast evaluator restricts teams itself, which would make this
-    check circular, so both tiers run pruning-disabled modes; the
-    three-element tier caps teams at two rows for cost.
-    """
-    return _run_suite(SWEEPS["locality"], grid, registry, jobs, verbose, signature)
-
-
-def run_upflat_suite(
-    grid: GridConfig | None = None,
-    registry: AtomRegistry | None = None,
-    jobs: int = 1,
-    verbose: bool = False,
-    signature: Mapping[str, int] | None = None,
-) -> list[Report]:
-    """Over upwards closed atoms: satisfaction forces the flattening
-    pointwise, and a satisfying subteam plus a pointwise-flat superteam
-    force the superteam to satisfy (every subteam pair is enumerated)."""
-    return _run_suite(SWEEPS["upflat"], grid, registry, jobs, verbose, signature)
-
-
-def run_height_suite(
-    grid: GridConfig | None = None,
-    registry: AtomRegistry | None = None,
-    jobs: int = 1,
-    verbose: bool = False,
-    signature: Mapping[str, int] | None = None,
-) -> list[Report]:
-    """Every satisfying grid triple with a finite height yields a witness
-    subteam within the bound (constancy atoms included in the corpus;
-    formulas containing totality have no bound and are counted skipped)."""
-    return _run_suite(SWEEPS["height"], grid, registry, jobs, verbose, signature)
-
-
-def run_possibility_suite(
-    grid: GridConfig | None = None,
-    registry: AtomRegistry | None = None,
-    jobs: int = 1,
-    verbose: bool = False,
-    signature: Mapping[str, int] | None = None,
-) -> list[Report]:
-    """Possibility versus its two-constant-witness expansion on a
-    depth-two body corpus.
-
-    Three tiers: the fast evaluator over the whole grid; the possibility
-    operator on the subset-enumerating oracle path against the expansion
-    on the fast path (so the two shortcuts are never trusted jointly);
-    and a fully pruning-disabled naive tier, which exhaustion makes
-    affordable only for quantifier-free bodies on one-row teams.
-    """
-    return _run_suite(SWEEPS["possibility"], grid, registry, jobs, verbose, signature)
-
-
-def run_definability_suite(
-    grid: GridConfig | None = None,
-    registry: AtomRegistry | None = None,
-    jobs: int = 1,
-    verbose: bool = False,
-) -> list[Report]:
-    """The two definable negative atoms against their expansions, on
-    unit-width instances including collapsed variable patterns."""
-    return _run_suite(SWEEPS["definability"], grid, registry, jobs, verbose, {})
-
-
-def run_isomorphism_suite(
-    grid: GridConfig | None = None,
-    registry: AtomRegistry | None = None,
-    jobs: int = 1,
-    verbose: bool = False,
-    signature: Mapping[str, int] | None = None,
-) -> list[Report]:
-    """Renaming domain elements never changes a verdict (dependencies are
-    closed under isomorphisms); three-element models are spot-checked at
-    two rows, two-element models in full."""
-    return _run_suite(SWEEPS["isomorphism"], grid, registry, jobs, verbose, signature)
-
-
-THEOREM_SUITES: dict[str, Callable[..., list[Report]]] = {
-    "translation": run_translation_suite,
-    "flatness": run_flatness_suite,
-    "locality": run_locality_suite,
-    "upflat": run_upflat_suite,
-    "height": run_height_suite,
-    "possibility": run_possibility_suite,
-    "definability": run_definability_suite,
-    "isomorphism": run_isomorphism_suite,
-}
+    """One report per tier of the theorem suite `name` in `SWEEPS`."""
+    sweep = SWEEPS.get(name)
+    if sweep is None:
+        raise HarnessError(f"unknown theorem suite {name!r}; known: {', '.join(sorted(SWEEPS))}")
+    grid = grid or DEFAULT_GRID
+    corpus = sweep.corpus(grid, sweep.signature)
+    reports = []
+    for tier in sweep.tiers:
+        tier_grid = grid
+        if tier.rows is not None:
+            tier_grid = replace(grid, doms=(2,), max_rows=min(tier.rows, grid.max_rows))
+        items = [item for item in corpus if tier.only is None or tier.only(item)]
+        report = Report(
+            name=sweep.name,
+            params={
+                "tier": tier.label,
+                "grid": tier_grid.as_dict(),
+                "corpus_size": len(items),
+                "mode": tier.mode if isinstance(tier.mode, str) else "/".join(tier.mode),
+                **{key: list(value) for key, value in sweep.params.items()},
+            },
+            records=[] if verbose else None,
+        )
+        checkable = [item for item in items if tier.skip is None or not tier.skip(item)]
+        report.skipped = len(items) - len(checkable)
+        models = _grid_models(sweep.signature, tier_grid)
+        tasks = [
+            (item, model, _tier_rows(tier, tier_grid, model))
+            for item in checkable
+            for model in models
+        ]
+        _sweep(report, sweep.compare, tasks, tier.mode, tier.budget, DEFAULT_REGISTRY, jobs, verbose)
+        reports.append(report)
+    return reports

@@ -298,17 +298,14 @@ def tarski_eval(model: Model, assignment: Mapping[str, str], phi: Formula) -> bo
     """Classical satisfaction of first-order `phi` by one assignment: the
     engine's one-shot entry point (compile, then run)."""
     names = tuple(assignment)
-    run = compile_fo(model, phi, {v: i for i, v in enumerate(names)}, len(names))
-    return run([assignment[v] for v in names])
+    return compile_fo(model, phi, names)([assignment[v] for v in names])
 
 
-def compile_fo(
-    model: Model, phi: Formula, var_slots: Mapping[str, int], n_slots: int
-) -> Callable[..., bool]:
+def compile_fo(model: Model, phi: Formula, vars: tuple[str, ...]) -> Callable[..., bool]:
     """Compile first-order `phi` on `model` into `run(env, rels={})`: `env`
-    holds the `n_slots` variable slots (free variable v in `var_slots[v]`),
-    and `rels` supplies or overrides named relations per call (such as a
-    translated sentence's team relation) with tuples over the domain.
+    holds the values of `vars`, in order, and `rels` supplies or overrides
+    named relations per call (such as a translated sentence's team
+    relation) with tuples over the domain.
 
     One-point bindings are substituted away and `simplify` runs; a block of
     like quantifiers guarded by a relation loops over the relation's tuples,
@@ -317,7 +314,7 @@ def compile_fo(
     raise `EvalError` here, before any rewrite can hide them; a relation
     neither in the model nor supplied raises when a run reaches it."""
     free, constants, arities, rewritten = _prepared(phi)
-    unbound = sorted(free - set(var_slots))
+    unbound = sorted(free - set(vars))
     if unbound:
         raise EvalError(f"unbound variable {unbound[0]}")
     for name in constants:
@@ -329,9 +326,9 @@ def compile_fo(
             raise EvalError(f"relation {name} has arity {rel.arity}, got {arity} arguments")
     domain = model.domain
     # slots: the variables', then one per constant, then the quantifiers'
-    top: dict[Term, int] = {Var(v): i for v, i in var_slots.items()}
-    top.update({Const(c): n_slots + i for i, c in enumerate(constants)})
-    width = first = n_slots + len(constants)
+    top: dict[Term, int] = {Var(v): i for i, v in enumerate(vars)}
+    top.update({Const(c): len(vars) + i for i, c in enumerate(constants)})
+    width = first = len(vars) + len(constants)
 
     def comp(node: Formula, depth: int, slots: dict[Term, int]) -> Callable[..., bool]:
         nonlocal width

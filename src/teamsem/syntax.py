@@ -321,29 +321,23 @@ RESERVED_PREFIX = "_"
 class FreshNames:
     """Deterministic fresh-variable source over the reserved `_v` namespace.
 
-    Never returns a name in `used`; every produced name is recorded.
+    Never returns a name in `used` or one it returned before.
     """
 
-    def __init__(self, used: Iterable[str] = (), prefix: str = "_v"):
+    def __init__(self, used: Iterable[str] = ()):
         self._used = set(used)
-        self._prefix = prefix
         self._counter = 0
-        self.produced: list[str] = []
 
     def fresh(self) -> str:
         while True:
-            name = f"{self._prefix}{self._counter}"
+            name = f"_v{self._counter}"
             self._counter += 1
             if name not in self._used:
                 self._used.add(name)
-                self.produced.append(name)
                 return name
 
     def fresh_many(self, k: int) -> tuple[str, ...]:
         return tuple(self.fresh() for _ in range(k))
-
-    def reserve(self, names: Iterable[str]) -> None:
-        self._used.update(names)
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,12 @@ from __future__ import annotations
 import json
 
 from test_sweep_goldens import GOLDEN, render
-from teamsem.harness import THEOREM_SUITES
+from teamsem.harness import SWEEPS
 
 
 def main() -> None:
     goldens = {}
-    for name in sorted(THEOREM_SUITES):
+    for name in sorted(SWEEPS):
         goldens[name] = render(name, jobs=1)
         if goldens[name]["lying_mismatches"] == 0:
             raise SystemExit(f"{name}: the lying evaluator caused no mismatch")

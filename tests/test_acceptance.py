@@ -23,16 +23,7 @@ from teamsem.atoms import (
     fo_definition_agrees,
 )
 from teamsem.evaluator import Evaluator
-from teamsem.harness import (
-    DEFAULT_GRID,
-    run_definability_suite,
-    run_flatness_suite,
-    run_height_suite,
-    run_locality_suite,
-    run_possibility_suite,
-    run_translation_suite,
-    run_upflat_suite,
-)
+from teamsem.harness import DEFAULT_GRID, run_suite
 from teamsem.translator import translate
 
 GOLDENS = pathlib.Path(__file__).parent / "goldens" / "translations.json"
@@ -72,7 +63,7 @@ def assert_clean(reports):
 def test_01_translation_soundness(verdict):
     with verdict(1, "compiled sentences agree with team evaluation"):
         start = time.monotonic()
-        reports = run_translation_suite(grid=DEFAULT_GRID)
+        reports = run_suite("translation", grid=DEFAULT_GRID)
         elapsed = time.monotonic() - start
         assert_clean(reports)
         assert reports[0].params["atoms"] == [
@@ -83,34 +74,34 @@ def test_01_translation_soundness(verdict):
 
 def test_02_flatness(verdict):
     with verdict(2, "first-order formulas are flat"):
-        assert_clean(run_flatness_suite(grid=DEFAULT_GRID))
+        assert_clean(run_suite("flatness", grid=DEFAULT_GRID))
 
 
 def test_03_locality(verdict):
     with verdict(3, "satisfaction only reads free-variable columns"):
-        assert_clean(run_locality_suite(grid=DEFAULT_GRID))
+        assert_clean(run_suite("locality", grid=DEFAULT_GRID))
 
 
 def test_04_flattening_and_upward_closure(verdict):
     with verdict(4, "flattening weakens; upward-closed formulas transfer upward"):
-        reports = run_upflat_suite(grid=DEFAULT_GRID)
+        reports = run_suite("upflat", grid=DEFAULT_GRID)
         assert len(reports) == 2  # the implication half and the closure half
         assert_clean(reports)
 
 
 def test_05_possibility_desugaring(verdict):
     with verdict(5, "the possibility operator matches its rewrite"):
-        assert_clean(run_possibility_suite(grid=DEFAULT_GRID))
+        assert_clean(run_suite("possibility", grid=DEFAULT_GRID))
 
 
 def test_06_negated_atom_definability(verdict):
     with verdict(6, "negated-atom macros agree with their atoms"):
-        assert_clean(run_definability_suite(grid=DEFAULT_GRID))
+        assert_clean(run_suite("definability", grid=DEFAULT_GRID))
 
 
 def test_07_height_bound(verdict):
     with verdict(7, "satisfying teams shrink to height-bounded witnesses"):
-        reports = run_height_suite(grid=DEFAULT_GRID)
+        reports = run_suite("height", grid=DEFAULT_GRID)
         assert_clean(reports)
         # Unbounded formulas (those using totality) are skipped, not checked.
         assert reports[0].skipped > 0

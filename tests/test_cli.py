@@ -139,6 +139,16 @@ def test_eval_requires_a_team(capsys, model_file):
     assert "--team" in capsys.readouterr().err
 
 
+def test_eval_rejects_malformed_model_and_team_files(capsys, tmp_path, model_file):
+    # exit 1 is kept for refuted claims; a bad input file is a usage error
+    one_element = atom_file(tmp_path, "m1", {"domain": ["a"]})
+    assert main(["eval", "NE", "--model", one_element, "--sentence"]) == 2
+    assert capsys.readouterr().err == "error: models must have at least two elements\n"
+    wide_row = atom_file(tmp_path, "t2", {"vars": ["x"], "rows": [["a", "b"]]})
+    assert main(["eval", "NE", "--model", model_file, "--team", wide_row]) == 2
+    assert "does not match team variables" in capsys.readouterr().err
+
+
 def test_eval_json_with_stats_and_witness(capsys, model_file, team_file):
     code = main(
         [

@@ -12,7 +12,7 @@ from teamsem.harness import (
     GRID_ENV_VAR,
     GridConfig,
     HarnessError,
-    THEOREM_SUITES,
+    SWEEPS,
     check_formula_equivalence,
     check_translation_equivalence,
     enumerate_models,
@@ -22,8 +22,7 @@ from teamsem.harness import (
     grid_from_env,
     permute_model,
     permute_team,
-    run_flatness_suite,
-    run_isomorphism_suite,
+    run_suite,
 )
 
 MICRO = GridConfig((2,), 2)
@@ -49,7 +48,7 @@ def test_grid_parse_round_trip():
     assert GridConfig.parse("doms=2") == GridConfig((2,), 4, 3, 2)
 
 
-@pytest.mark.parametrize("bad", ["doms=1", "doms=9", "nope=3", "doms="])
+@pytest.mark.parametrize("bad", ["doms=1", "doms=9", "nope=3", "doms=", "max_vars=3"])
 def test_grid_parse_errors(bad):
     with pytest.raises(HarnessError):
         GridConfig.parse(bad)
@@ -68,8 +67,6 @@ def test_grid_from_env(monkeypatch):
 def test_enumerate_models_counts():
     # One unary relation over two elements: 2^2 interpretations.
     assert sum(1 for _ in enumerate_models({"P": 1}, 2)) == 4
-    # {}, {a}, {b}, {a,b}; the middle two are isomorphic.
-    assert sum(1 for _ in enumerate_models({"P": 1}, 2, iso_reduce=True)) == 3
     assert sum(1 for _ in enumerate_models({}, 2)) == 1
     assert sum(1 for _ in enumerate_models({}, 3)) == 2  # sizes 2 and 3
     assert sum(1 for _ in enumerate_models({"R": 2}, 2)) == 16
@@ -204,21 +201,6 @@ def test_equivalence_signature_conflict():
         )
 
 
-def test_equivalence_iso_reduction_shrinks_work():
-    full = check_formula_equivalence(
-        parse("P(x)"), parse("P(x)"), MICRO, signature={"P": 1}, vars=("x",)
-    )
-    slim = check_formula_equivalence(
-        parse("P(x)"),
-        parse("P(x)"),
-        MICRO,
-        signature={"P": 1},
-        vars=("x",),
-        iso_reduce=True,
-    )
-    assert slim.checked < full.checked
-
-
 def test_equivalence_budget_skips_are_counted():
     rep = check_formula_equivalence(
         parse("E x. E y. NE"),
@@ -282,7 +264,7 @@ def test_report_verbose_streams_records():
 
 def test_reports_are_byte_deterministic():
     def render():
-        reps = run_isomorphism_suite(grid=MICRO)
+        reps = run_suite("isomorphism", grid=MICRO)
         return "\n".join(line for r in reps for line in r.json_lines())
 
     assert render() == render()
@@ -312,14 +294,14 @@ def test_jobs_are_capped_at_the_cpu_count(monkeypatch):
 @pytest.mark.parametrize("jobs", [0, -2])
 def test_jobs_below_one_are_rejected(jobs):
     with pytest.raises(HarnessError, match="jobs must be at least 1"):
-        run_isomorphism_suite(grid=MICRO, jobs=jobs)
+        run_suite("isomorphism", grid=MICRO, jobs=jobs)
 
 
 # --- suites ----------------------------------------------------------------------------------
 
 
 def test_theorem_suite_names():
-    assert sorted(THEOREM_SUITES) == [
+    assert sorted(SWEEPS) == [
         "definability",
         "flatness",
         "height",
@@ -332,12 +314,12 @@ def test_theorem_suite_names():
 
 
 def test_flatness_suite_micro_grid():
-    reports = run_flatness_suite(grid=GridConfig((2,), 2, max_depth=2, max_vars=1))
+    reports = run_suite("flatness", grid=GridConfig((2,), 2, max_depth=2, max_vars=1))
     assert all(r.ok for r in reports)
     assert all(r.mismatches == [] for r in reports)
     assert sum(r.checked for r in reports) > 0
 
 
 def test_isomorphism_suite_micro_grid():
-    reports = run_isomorphism_suite(grid=MICRO)
+    reports = run_suite("isomorphism", grid=MICRO)
     assert all(r.ok for r in reports)

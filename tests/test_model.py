@@ -219,7 +219,7 @@ def test_both_entry_points_reject_an_unbound_variable_before_rewriting(m2):
     with pytest.raises(EvalError, match="^unbound variable z$"):
         tarski_eval(m2, {"x": "a"}, phi)
     with pytest.raises(EvalError, match="^unbound variable z$"):
-        compile_fo(m2, phi, {"x": 0}, 1)
+        compile_fo(m2, phi, ("x",))
     with pytest.raises(EvalError, match="^unknown constant c9$"):
         tarski_eval(m2, {}, parse("c9 = c9", constants=("c9",)))
 
@@ -229,7 +229,7 @@ def test_both_entry_points_raise_an_unknown_relation_when_run(m2):
     assert tarski_eval(m2, {"x": "a"}, phi)  # P(a) holds, Q is never reached
     with pytest.raises(EvalError, match="^unknown relation Q$"):
         tarski_eval(m2, {"x": "b"}, phi)
-    run = compile_fo(m2, phi, {"x": 0}, 1)  # compiling does not look Q up
+    run = compile_fo(m2, phi, ("x",))  # compiling does not look Q up
     assert run(["b"], {"Q": frozenset({("b",)})})
     with pytest.raises(EvalError, match="^unknown relation Q$"):
         run(["b"])
@@ -251,17 +251,17 @@ _fo_texts = st.sampled_from(
 def test_compile_fo_matches_tarski(text, vx, vy):
     m = Model(("a", "b"), {"P": Relation(1, frozenset({("a",)}))}, {})
     phi = parse(text)
-    fn = compile_fo(m, phi, {"x": 0, "y": 1}, 2)
+    fn = compile_fo(m, phi, ("x", "y"))
     assert fn([vx, vy], {}) == reference_eval(m, {"x": vx, "y": vy}, phi)
 
 
 def test_compile_fo_keeps_constant_and_quantifier_slots_apart(m3):
-    # slot 1 is spare: the constant and the quantifier must not share it
+    # the constant's slot follows x's: the quantifier must not share it
     phi = parse("E y. y != c0 /\\ R(x, y) /\\ x = c0", constants=("c0",))
-    run = compile_fo(m3, phi, {"x": 0}, 2)
+    run = compile_fo(m3, phi, ("x",))
     for x in m3.domain:
-        assert run([x, None]) == reference_eval(m3, {"x": x}, phi)
-    assert run(["a", None])
+        assert run([x]) == reference_eval(m3, {"x": x}, phi)
+    assert run(["a"])
 
 
 # The engine against the reference on random formulas over a 3-element
@@ -313,7 +313,7 @@ _pairs = st.frozensets(st.tuples(st.sampled_from(M3.domain), st.sampled_from(M3.
 
 def assert_engine_matches_reference(model, phi, rels):
     xs = tuple(sorted(free_variables(phi)))
-    run = compile_fo(model, phi, {v: i for i, v in enumerate(xs)}, len(xs))
+    run = compile_fo(model, phi, xs)
     for values in itertools.product(model.domain, repeat=len(xs)):
         want = reference_eval(model, dict(zip(xs, values)), phi, rels)
         assert run(list(values), rels) == want, (str(phi), values)
@@ -350,7 +350,7 @@ def test_engine_matches_the_reference_on_the_translation_corpus():
         xs = tuple(sorted(free_variables(phi))) or ("x",)
         result = translate(phi, xs)
         for model in enumerate_models({"P": 1}, 2):
-            run = compile_fo(model, result.sentence, {}, 0)
+            run = compile_fo(model, result.sentence, ())
             for team in enumerate_teams(model, xs, 1):
                 rels = {result.relation: team_project(team, xs)}
                 assert run([], rels) == reference_eval(model, {}, result.sentence, rels), (

@@ -24,7 +24,7 @@ import pytest
 
 from teamsem import harness
 from teamsem.evaluator import Evaluator
-from teamsem.harness import THEOREM_SUITES, GridConfig
+from teamsem.harness import SWEEPS, GridConfig, run_suite
 from teamsem.syntax import DepAtom, Possibly
 
 GRID = GridConfig((2,), 2, max_depth=1)
@@ -67,11 +67,10 @@ def _sha256(lines) -> str:
 
 def render(name: str, jobs: int) -> dict:
     """The golden entry of one suite, computed now."""
-    suite = THEOREM_SUITES[name]
-    summary = [line for r in suite(grid=GRID, jobs=jobs) for line in r.json_lines()]
-    verbose = suite(grid=GRID, jobs=jobs, verbose=True)
+    summary = [line for r in run_suite(name, grid=GRID, jobs=jobs) for line in r.json_lines()]
+    verbose = run_suite(name, grid=GRID, jobs=jobs, verbose=True)
     with lying_evaluator():
-        lying = suite(grid=GRID, jobs=jobs)
+        lying = run_suite(name, grid=GRID, jobs=jobs)
     return {
         "summary": summary,
         "verbose_sha256": _sha256(line for r in verbose for line in r.json_lines(verbose=True)),
@@ -81,7 +80,7 @@ def render(name: str, jobs: int) -> dict:
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-@pytest.mark.parametrize("name", sorted(THEOREM_SUITES))
+@pytest.mark.parametrize("name", sorted(SWEEPS))
 def test_suite_reports_match_golden(name, jobs):
     golden = json.loads(GOLDEN.read_text())[name]
     got = render(name, jobs)
