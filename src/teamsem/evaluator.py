@@ -18,12 +18,18 @@ Three interchangeable strategies:
 The fast gate deliberately excludes constancy atoms: the rewrites are
 unsound for them (an existential over a constancy atom is the canonical
 counterexample), even though constancy is harmless in other pipelines.
+
+Inside an `Evaluator` a team is `(vars, mask)`: bit i is the row whose
+index, in base |dom| over element ranks in the sorted domain, is i; so
+ascending bits are sorted rows.  `Team`s are built only for `evaluate`,
+`witness`, dependency atoms and naive mode's choice functions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+import itertools
+from dataclasses import asdict, dataclass
+from typing import Callable, Iterator
 
 from .atoms import AtomRegistry, DEFAULT_REGISTRY, eval_atom
 from .model import (
@@ -33,13 +39,13 @@ from .model import (
     SINGLETON_EMPTY_TEAM,
     Team,
     compile_fo,
-    duplicate,
+    duplicate,  # noqa: F401  (bench/tracer.py patches these four by name)
     enumerate_choice_functions,
-    enumerate_covers,
-    subsets,
+    enumerate_covers,  # noqa: F401
     supplement,
-    tarski_eval,  # noqa: F401  (bench/tracer.py patches it by this name)
-    team_restrict,
+    tarski_eval,  # noqa: F401
+    team_project,
+    team_restrict,  # noqa: F401
 )
 from .syntax import (
     And,
@@ -124,14 +130,35 @@ def _forces_constant(node: Exists) -> bool:
     return False
 
 
-def _assign_constant(team: Team, var: str, value: str) -> Team:
-    """The team with `var` set to `value` on every row (overwriting)."""
-    if var in team.vars:
-        i = team.vars.index(var)
-        return Team(
-            team.vars, frozenset(r[:i] + (value,) + r[i + 1 :] for r in team.rows)
-        )
-    return Team(team.vars + (var,), frozenset(r + (value,) for r in team.rows))
+def _bits(mask: int) -> list[int]:
+    """The set bits of `mask`, lowest (first sorted row) first."""
+    out = []
+    while mask:
+        out.append(mask & -mask)
+        mask &= mask - 1
+    return out
+
+
+def _unions(bits: list[int]) -> list[int]:
+    """Entry k is the union of the bits picked by local mask k (by doubling)."""
+    table = [0]
+    for b in bits:
+        table += [m | b for m in table]
+    return table
+
+
+def _subteams(bits: list[int], low: int = 0) -> Iterator[int]:
+    """Subteam masks in `model.subsets` order: by size, then combinations."""
+    for size in range(low, len(bits) + 1):
+        for combo in itertools.combinations(bits, size):
+            yield sum(combo)
+
+
+def _cover_pairs(bits: list[int]) -> Iterator[tuple[int, int]]:
+    """Ordered covers (Y, Z) of a team in `model.enumerate_covers` order:
+    trit 0 puts a row in Y only, 1 in Z only, 2 in both."""
+    for trits in itertools.product((0, 1, 2), repeat=len(bits)):
+        yield sum(b for b, t in zip(bits, trits) if t != 1), sum(b for b, t in zip(bits, trits) if t != 0)
 
 
 @dataclass
@@ -145,15 +172,7 @@ class EvalStats:
     max_team_rows: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "nodes": self.nodes,
-            "memo_hits": self.memo_hits,
-            "covers": self.covers,
-            "choices": self.choices,
-            "subsets": self.subsets,
-            "tarski_rows": self.tarski_rows,
-            "max_team_rows": self.max_team_rows,
-        }
+        return asdict(self)
 
 
 class Evaluator:
@@ -182,22 +201,23 @@ class Evaluator:
         self._flat: dict[int, Formula] = {}
         self._expansion: dict[int, Formula] = {}
         self._upward: dict[int, bool] = {}
+        self._constant: dict[int, bool] = {}
         self._roots: dict[int, Formula] = {}
         self._fo: dict[tuple[int, tuple[str, ...]], tuple[Callable, Formula]] = {}
+        # row indexing: element ranks, row <-> bit, and per-row images
+        self._rank = {e: i for i, e in enumerate(sorted(model.domain))}
+        self._bit_of: dict[Row, int] = {}
+        self._row_of: dict[tuple[int, int], Row] = {}
+        self._images: dict[tuple, dict[int, int]] = {}
 
     # -- public API ---------------------------------------------------------
 
     def evaluate(self, phi: Formula, team: Team) -> bool:
-        fv = free_variables(phi)
-        missing = fv - set(team.vars)
-        if missing:
-            raise EvalError(f"team does not cover free variables {sorted(missing)}")
-        dom = set(self.model.domain)
-        for r in team.rows:
-            if any(e not in dom for e in r):
-                raise EvalError(f"team row {r} leaves the model domain")
         self._roots.setdefault(id(phi), phi)  # pin subformula ids for the memo's lifetime
-        return self._eval(phi, team)
+        missing = [v for v in self._free(phi) if v not in team.vars]
+        if missing:
+            raise EvalError(f"team does not cover free variables {missing}")
+        return self._eval(phi, team.vars, self._mask(team))
 
     def sentence_true(self, phi: Formula) -> bool:
         """Truth of a sentence: evaluation on the team of the single empty
@@ -221,208 +241,237 @@ class Evaluator:
             self._fv[id(node)] = got
         return got
 
-    def _flattening(self, node: Formula) -> Formula:
-        got = self._flat.get(id(node))
+    def _cached(self, cache: dict, node: Formula, build: Callable):
+        got = cache.get(id(node))
         if got is None:
-            got = flatten(node)
-            self._flat[id(node)] = got
+            got = cache[id(node)] = build(node)
         return got
 
-    def _expand_restriction(self, node: RestrictedBy) -> Formula:
-        got = self._expansion.get(id(node))
-        if got is None:
-            got = restrict(node.body, node.guard)
-            self._expansion[id(node)] = got
-        return got
+    def _flattening(self, node: Formula) -> Formula:
+        return self._cached(self._flat, node, flatten)
 
     def _all_upward(self, node: Formula) -> bool:
         return upward_fragment(node, self.registry, self._upward)
 
+    # -- rows and masks ------------------------------------------------------
+
+    def _bit(self, row: Row) -> int:
+        """The bit of `row`; every bit of every mask is made here, so its
+        row can be looked up by `(width, bit)` in `_row_of`."""
+        got = self._bit_of.get(row)
+        if got is None:
+            i = 0
+            for e in row:
+                if e not in self._rank:
+                    raise EvalError(f"team row {row} leaves the model domain")
+                i = i * len(self._rank) + self._rank[e]
+            got = self._bit_of[row] = 1 << i
+            self._row_of[(len(row), got)] = row
+        return got
+
+    def _mask(self, team: Team) -> int:
+        return sum(map(self._bit, team.rows))
+
+    def _rows(self, vars: tuple[str, ...], mask: int) -> list[Row]:
+        return [self._row_of[(len(vars), b)] for b in _bits(mask)]
+
+    def _image(self, op: tuple, vars: tuple[str, ...], mask: int) -> int:
+        """The rows `op` makes of those of `mask`, each row's image cached per
+        (op, vars): `("restrict", to)` keeps the columns `to`, and
+        `("assign", var, values)` sets or adds `var` as each value."""
+        table = self._images.get((op, vars))
+        if table is None:
+            table = self._images[(op, vars)] = {}
+        out = 0
+        while mask:
+            b = mask & -mask
+            mask ^= b
+            got = table.get(b)
+            if got is None:
+                row = self._row_of[(len(vars), b)]
+                if op[0] == "restrict":
+                    got = self._bit(tuple(row[vars.index(v)] for v in op[1]))
+                else:
+                    i = vars.index(op[1]) if op[1] in vars else len(vars)
+                    got = sum({self._bit(row[:i] + (m,) + row[i + 1 :]) for m in op[2]})
+                table[b] = got
+            out |= got
+        return out
+
+    def _assign(self, vars: tuple[str, ...], mask: int, var: str, values) -> tuple[tuple[str, ...], int]:
+        """X[values/var]: every row extended with, or overwritten by, each value."""
+        out = vars if var in vars else vars + (var,)
+        return out, self._image(("assign", var, tuple(values)), vars, mask)
+
     # -- core recursion ------------------------------------------------------
 
-    def _eval(self, node: Formula, team: Team) -> bool:
+    def _eval(self, node: Formula, vars: tuple[str, ...], mask: int) -> bool:
         if self.mode == "fast":
             fv = self._free(node)
-            if fv != team.vars:
-                team = team_restrict(team, fv)
-        key = (id(node), team)
+            if fv != vars:
+                vars, mask = fv, self._image(("restrict", fv), vars, mask)
+        key = (id(node), vars, mask)
         hit = self._memo.get(key)
         if hit is not None:
             self.stats.memo_hits += 1
             return hit
         self.stats.nodes += 1
-        if len(team.rows) > self.stats.max_team_rows:
-            self.stats.max_team_rows = len(team.rows)
-        out = self._dispatch(node, team)
+        rows = mask.bit_count()
+        if rows > self.stats.max_team_rows:
+            self.stats.max_team_rows = rows
+        out = self._dispatch(node, vars, mask)
         if len(self._memo) < MEMO_LIMIT:
             self._memo[key] = out
         return out
 
-    def _dispatch(self, node: Formula, team: Team) -> bool:
+    def _dispatch(self, node: Formula, vars: tuple[str, ...], mask: int) -> bool:
         if isinstance(node, BoolLit):
-            return node.value or not team.rows
+            return node.value or not mask
         if isinstance(node, (RelLit, EqLit)):
-            return self._pointwise(node, team)
+            return all(self._tarski_row(vars, b, node) for b in _bits(mask))
         if isinstance(node, DepAtom):
-            return eval_atom(self.model, team, node, self.registry)
+            return eval_atom(self.model, Team(vars, frozenset(self._rows(vars, mask))), node, self.registry)
         if isinstance(node, And):
-            return self._eval(node.left, team) and self._eval(node.right, team)
+            return self._eval(node.left, vars, mask) and self._eval(node.right, vars, mask)
         if isinstance(node, Forall):
-            return self._eval(node.body, duplicate(self.model, team, node.var))
+            return self._eval(node.body, *self._assign(vars, mask, node.var, self.model.domain))
         if isinstance(node, Or):
-            return self._split(node, team)
+            return self._split(node, vars, mask)
         if isinstance(node, Exists):
-            return self._exists(node, team)
+            return self._exists(node, vars, mask)
         if isinstance(node, Possibly):
-            return self._possibly(node, team)
+            return self._possibly(node, vars, mask)
         if isinstance(node, RestrictedBy):
             if self.mode == "fast":
-                return self._eval(node.body, self._satisfying(team, node.guard))
-            return self._split(self._expand_restriction(node), team)
+                return self._eval(node.body, vars, self._satisfying(vars, mask, node.guard))
+            expansion = self._cached(self._expansion, node, lambda n: restrict(n.body, n.guard))
+            return self._split(expansion, vars, mask)
         raise EvalError(f"cannot evaluate node {node!r}")
 
-    def _tarski_row(self, vars: tuple[str, ...], row: Row, phi: Formula) -> bool:
-        """Classical truth of first-order `phi` at one row, through the
-        engine compiled once per (node, vars); the entry pins the node."""
+    def _tarski_row(self, vars: tuple[str, ...], bit: int, phi: Formula) -> bool:
+        """Classical truth of first-order `phi` at the row of `bit`, through
+        the engine compiled once per (node, vars); the entry pins the node."""
         self.stats.tarski_rows += 1
         got = self._fo.get((id(phi), vars))
         if got is None:
             got = (compile_fo(self.model, phi, vars), phi)
             self._fo[(id(phi), vars)] = got
-        return got[0](row)
+        return got[0](self._row_of[(len(vars), bit)])
 
-    def _pointwise(self, node: Formula, team: Team) -> bool:
-        return all(self._tarski_row(team.vars, r, node) for r in team.sorted_rows)
-
-    def _satisfying(self, team: Team, phi: Formula) -> Team:
+    def _satisfying(self, vars: tuple[str, ...], mask: int, phi: Formula) -> int:
         """The subteam of the rows that satisfy first-order `phi`."""
-        return Team(
-            team.vars,
-            frozenset(r for r in team.rows if self._tarski_row(team.vars, r, phi)),
-        )
+        return sum(b for b in _bits(mask) if self._tarski_row(vars, b, phi))
 
     # -- disjunction ----------------------------------------------------------
 
-    def _split(self, node: Or, team: Team) -> bool:
+    def _split(self, node: Or, vars: tuple[str, ...], mask: int) -> bool:
         if self.mode == "naive":
-            for left_team, right_team in enumerate_covers(team):
+            for left, right in _cover_pairs(_bits(mask)):
                 self.stats.covers += 1
-                if self._eval(node.left, left_team) and self._eval(node.right, right_team):
+                if self._eval(node.left, vars, left) and self._eval(node.right, vars, right):
                     return True
             return False
         if self.mode == "fast" and self._all_upward(node):
             flat_l = self._flattening(node.left)
             flat_r = self._flattening(node.right)
-            left_rows, right_rows = set(), set()
-            for r in team.sorted_rows:
-                in_l = self._tarski_row(team.vars, r, flat_l)
-                in_r = self._tarski_row(team.vars, r, flat_r)
+            left = right = 0
+            for b in _bits(mask):
+                in_l = self._tarski_row(vars, b, flat_l)
+                in_r = self._tarski_row(vars, b, flat_r)
                 if not (in_l or in_r):
                     return False
                 if in_l:
-                    left_rows.add(r)
+                    left |= b
                 if in_r:
-                    right_rows.add(r)
-            return self._eval(node.left, Team(team.vars, frozenset(left_rows))) and self._eval(
-                node.right, Team(team.vars, frozenset(right_rows))
-            )
-        return self._split_by_tables(node, team)
+                    right |= b
+            return self._eval(node.left, vars, left) and self._eval(node.right, vars, right)
+        return self._split_by_tables(node, vars, mask)
 
-    def _split_by_tables(self, node: Or, team: Team) -> bool:
-        rows = team.sorted_rows
-        n = len(rows)
+    def _split_by_tables(self, node: Or, vars: tuple[str, ...], mask: int) -> bool:
+        subteams = _unions(_bits(mask))
+        n = mask.bit_count()
         sat_left = []
         sat_right_closed = [False] * (1 << n)
-        for mask in range(1 << n):
+        for local in range(1 << n):
             self.stats.subsets += 1
-            sub = Team(team.vars, frozenset(rows[i] for i in range(n) if mask >> i & 1))
-            if self._eval(node.left, sub):
-                sat_left.append(mask)
-            if self._eval(node.right, sub):
-                sat_right_closed[mask] = True
+            if self._eval(node.left, vars, subteams[local]):
+                sat_left.append(local)
+            if self._eval(node.right, vars, subteams[local]):
+                sat_right_closed[local] = True
         # downward closure: membership of X \ Y asks whether some superset
         # of the complement satisfies the right disjunct
-        for mask in range((1 << n) - 1, -1, -1):
-            if sat_right_closed[mask]:
-                m = mask
+        for local in range((1 << n) - 1, -1, -1):
+            if sat_right_closed[local]:
+                m = local
                 while m:
                     bit = m & -m
-                    sat_right_closed[mask ^ bit] = True
+                    sat_right_closed[local ^ bit] = True
                     m ^= bit
         full = (1 << n) - 1
         return any(sat_right_closed[full ^ m] for m in sat_left)
 
     # -- existential ------------------------------------------------------------
 
-    def _exists(self, node: Exists, team: Team) -> bool:
+    def _exists(self, node: Exists, vars: tuple[str, ...], mask: int) -> bool:
         if self.mode == "naive":
+            team = Team(vars, frozenset(self._rows(vars, mask)))
             for choice in enumerate_choice_functions(team, self.model, 1):
                 self.stats.choices += 1
-                if self._eval(node.body, supplement(team, choice, (node.var,))):
+                extended = supplement(team, choice, (node.var,))
+                if self._eval(node.body, extended.vars, self._mask(extended)):
                     return True
             return False
         if self.mode != "fast":
-            return self._exists_by_subsets(node, team, duplicate(self.model, team, node.var))
+            return self._exists_by_subsets(node, *self._assign(vars, mask, node.var, self.model.domain))
         upward = self._all_upward(node.body)
-        if not upward and _forces_constant(node):
+        if not upward and self._cached(self._constant, node, _forces_constant):
             for value in self.model.domain:
                 self.stats.choices += 1
-                if self._eval(node.body, _assign_constant(team, node.var, value)):
+                if self._eval(node.body, *self._assign(vars, mask, node.var, (value,))):
                     return True
             return False
         # no witness can use a duplicated row that fails the flattening,
         # and every original assignment must still be extendable
-        kept = self._satisfying(
-            duplicate(self.model, team, node.var), self._flattening(node.body)
-        )
-        if not self._covers(team, kept, node.var):
+        doubled_vars, doubled = self._assign(vars, mask, node.var, self.model.domain)
+        kept = self._satisfying(doubled_vars, doubled, self._flattening(node.body))
+        if not self._covers(vars, mask, doubled_vars, kept, node.var):
             return False
         if upward:
-            return self._eval(node.body, kept)
-        return self._exists_by_subsets(node, team, kept)
+            return self._eval(node.body, doubled_vars, kept)
+        return self._exists_by_subsets(node, doubled_vars, kept)
 
-    def _covers(self, team: Team, sub: Team, var: str) -> bool:
-        """Does every assignment of `team` survive, for some value of `var`,
-        into `sub` (a subteam of the duplicated team)?"""
-        i = sub.vars.index(var)
-        origins = {r[:i] + r[i + 1 :] for r in sub.rows}
-        if var in team.vars:
-            j = team.vars.index(var)
-            return all(r[:j] + r[j + 1 :] in origins for r in team.rows)
-        return all(r in origins for r in team.rows)
+    def _covers(self, vars: tuple[str, ...], mask: int, sub_vars: tuple[str, ...], sub: int, var: str) -> bool:
+        """Does every assignment of the team survive, for some value of
+        `var`, into `sub` (a subteam of the duplicated team)?"""
+        rest = ("restrict", tuple(v for v in vars if v != var))
+        return not self._image(rest, vars, mask) & ~self._image(rest, sub_vars, sub)
 
-    def _exists_by_subsets(self, node: Exists, team: Team, doubled: Team) -> bool:
-        rows = doubled.sorted_rows
-        n = len(rows)
-        i = doubled.vars.index(node.var)
-        # group the duplicated rows by originating assignment
-        groups: dict[Row, list[int]] = {}
-        for k, r in enumerate(rows):
-            groups.setdefault(r[:i] + r[i + 1 :], []).append(k)
-        group_masks = []
-        for ks in groups.values():
-            m = 0
-            for k in ks:
-                m |= 1 << k
-            group_masks.append(m)
-        for mask in range(0, 1 << n):
+    def _exists_by_subsets(self, node: Exists, vars: tuple[str, ...], doubled: int) -> bool:
+        bits = _bits(doubled)
+        # group the duplicated rows, as local bits, by originating assignment
+        rest = ("restrict", tuple(v for v in vars if v != node.var))
+        groups: dict[int, int] = {}
+        for k, b in enumerate(bits):
+            origin = self._image(rest, vars, b)
+            groups[origin] = groups.get(origin, 0) | 1 << k
+        subteams = _unions(bits)
+        for local in range(1 << len(bits)):
             self.stats.subsets += 1
-            if any(not mask & g for g in group_masks):
+            if any(not local & g for g in groups.values()):
                 continue
-            sub = Team(doubled.vars, frozenset(rows[k] for k in range(n) if mask >> k & 1))
-            if self._eval(node.body, sub):
+            if self._eval(node.body, vars, subteams[local]):
                 return True
         return False
 
     # -- possibility ------------------------------------------------------------
 
-    def _possibly(self, node: Possibly, team: Team) -> bool:
+    def _possibly(self, node: Possibly, vars: tuple[str, ...], mask: int) -> bool:
         if self.mode == "fast" and self._all_upward(node.body):
-            kept = self._satisfying(team, self._flattening(node.body))
-            return bool(kept.rows) and self._eval(node.body, kept)
-        for rows in subsets(team.rows, low=1):
+            kept = self._satisfying(vars, mask, self._flattening(node.body))
+            return bool(kept) and self._eval(node.body, vars, kept)
+        for sub in _subteams(_bits(mask), low=1):
             self.stats.subsets += 1
-            if self._eval(node.body, Team(team.vars, rows)):
+            if self._eval(node.body, vars, sub):
                 return True
         return False
 
@@ -433,32 +482,22 @@ class Evaluator:
         it does not hold, or when the node carries no choice to report)."""
         if not self.evaluate(phi, team):
             return None
+        vars, mask = team.vars, self._mask(team)
+        listed = lambda vars, mask: [list(r) for r in self._rows(vars, mask)]  # noqa: E731
         if isinstance(phi, Or):
-            for left_team, right_team in enumerate_covers(team):
-                if self._eval(phi.left, left_team) and self._eval(phi.right, right_team):
-                    return {
-                        "kind": "split",
-                        "left": [list(r) for r in left_team.sorted_rows],
-                        "right": [list(r) for r in right_team.sorted_rows],
-                    }
+            for left, right in _cover_pairs(_bits(mask)):
+                if self._eval(phi.left, vars, left) and self._eval(phi.right, vars, right):
+                    return {"kind": "split", "left": listed(vars, left), "right": listed(vars, right)}
         if isinstance(phi, Exists):
-            doubled = duplicate(self.model, team, phi.var)
-            for rows in subsets(doubled.rows):
-                sub = Team(doubled.vars, rows)
-                if self._covers(team, sub, phi.var) and self._eval(phi.body, sub):
-                    return {
-                        "kind": "choice",
-                        "vars": list(doubled.vars),
-                        "rows": [list(r) for r in sub.sorted_rows],
-                    }
+            doubled_vars, doubled = self._assign(vars, mask, phi.var, self.model.domain)
+            for sub in _subteams(_bits(doubled)):
+                if self._covers(vars, mask, doubled_vars, sub, phi.var) and self._eval(phi.body, doubled_vars, sub):
+                    return {"kind": "choice", "vars": list(doubled_vars), "rows": listed(doubled_vars, sub)}
         if isinstance(phi, Possibly):
-            for rows in subsets(team.rows, low=1):
-                sub = Team(team.vars, rows)
-                if self._eval(phi.body, sub):
-                    return {"kind": "subteam", "rows": [list(r) for r in sub.sorted_rows]}
+            for sub in _subteams(_bits(mask), low=1):
+                if self._eval(phi.body, vars, sub):
+                    return {"kind": "subteam", "rows": listed(vars, sub)}
         if isinstance(phi, DepAtom):
-            from .model import team_project
-
             rel = team_project(team, phi.args)
             return {"kind": "projection", "columns": list(phi.args), "rows": [list(r) for r in sorted(rel)]}
         return {"kind": "holds"}

@@ -62,7 +62,7 @@ _formulas = st.recursive(st.one_of(_leaves, _quantified), _connectives, max_leav
 
 @st.composite
 def _cases(draw):
-    model = draw(st.sampled_from((M2, M3)))
+    model = draw(st.sampled_from((M2, M3, UNSORTED)))
     pool = list(itertools.product(model.domain, repeat=len(VARS)))
     rows = draw(st.lists(st.sampled_from(pool), max_size=3, unique=True))
     return model, Team(VARS, frozenset(rows))
