@@ -9,13 +9,10 @@ from hypothesis import strategies as st
 
 import pytest
 
-from evaluator_reference import Evaluator as ReferenceEvaluator
-from teamsem import Model, Relation, Team, parse
-from teamsem import evaluator
+import evaluator_reference
+from teamsem import Model, Relation, Team, evaluator, parse
 from teamsem.evaluator import Evaluator, MODES
 from teamsem.model import EvalError
-
-import evaluator_reference
 
 VARS = ("x", "y", "z")
 M2 = Model(("a", "b"), {"P": Relation(1, frozenset({("a",)}))}, {})
@@ -72,7 +69,7 @@ def assert_matches_reference(model, phi, teams, mode):
     """Evaluate `phi` on each team in turn with one evaluator per side, so
     that memo reuse across calls is compared too; then ask both for the
     witness on the last team."""
-    new, ref = Evaluator(model, mode=mode), ReferenceEvaluator(model, mode=mode)
+    new, ref = Evaluator(model, mode=mode), evaluator_reference.Evaluator(model, mode=mode)
     for team in teams:
         got = new.evaluate_with_stats(phi, team)
         assert got == ref.evaluate_with_stats(phi, team), (str(phi), sorted(team.rows), mode)
