@@ -19,15 +19,15 @@ The fast gate deliberately excludes constancy atoms: the rewrites are
 unsound for them (an existential over a constancy atom is the canonical
 counterexample), even though constancy is harmless in other pipelines.
 
-Inside an `Evaluator` a team is `(vars, mask)`: bit i is the row whose
-index, in base |dom| over element ranks in the sorted domain, is i; so
-ascending bits are sorted rows.  `Team`s are built only for `evaluate`,
-`witness`, dependency atoms and naive mode's choice functions.
+Inside an `Evaluator` a team is `(vars, mask)`: each row gets the next
+free bit when the evaluator first meets it, so a mask is as wide as the
+rows seen so far, not |dom|^|vars|; searches walk the set bits in sorted-row
+order.  `Team`s are built only for `evaluate`, `witness`, dependency atoms
+and naive mode's choice functions.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import asdict, dataclass
 from typing import Callable, Iterator
 
@@ -39,9 +39,11 @@ from .model import (
     SINGLETON_EMPTY_TEAM,
     Team,
     compile_fo,
+    cover_parts,
     duplicate,  # noqa: F401  (bench/tracer.py patches these four by name)
     enumerate_choice_functions,
     enumerate_covers,  # noqa: F401
+    subsets,
     supplement,
     tarski_eval,  # noqa: F401
     team_project,
@@ -130,35 +132,19 @@ def _forces_constant(node: Exists) -> bool:
     return False
 
 
-def _bits(mask: int) -> list[int]:
-    """The set bits of `mask`, lowest (first sorted row) first."""
-    out = []
-    while mask:
-        out.append(mask & -mask)
-        mask &= mask - 1
-    return out
-
-
-def _unions(bits: list[int]) -> list[int]:
-    """Entry k is the union of the bits picked by local mask k (by doubling)."""
-    table = [0]
+def _subteam_masks(bits: list[int]) -> Iterator[int]:
+    """The union of the bits picked by each local mask 0, 1, ..., 2^n - 1 in
+    turn, in memory linear in n: local mask m sets its lowest bit k and
+    clears the k bits below it, so its union follows from that of m - 1."""
+    below = [0]
     for b in bits:
-        table += [m | b for m in table]
-    return table
-
-
-def _subteams(bits: list[int], low: int = 0) -> Iterator[int]:
-    """Subteam masks in `model.subsets` order: by size, then combinations."""
-    for size in range(low, len(bits) + 1):
-        for combo in itertools.combinations(bits, size):
-            yield sum(combo)
-
-
-def _cover_pairs(bits: list[int]) -> Iterator[tuple[int, int]]:
-    """Ordered covers (Y, Z) of a team in `model.enumerate_covers` order:
-    trit 0 puts a row in Y only, 1 in Z only, 2 in both."""
-    for trits in itertools.product((0, 1, 2), repeat=len(bits)):
-        yield sum(b for b, t in zip(bits, trits) if t != 1), sum(b for b, t in zip(bits, trits) if t != 0)
+        below.append(below[-1] | b)
+    sub = 0
+    yield sub
+    for local in range(1, 1 << len(bits)):
+        k = (local & -local).bit_length() - 1
+        sub = sub & ~below[k] | bits[k]
+        yield sub
 
 
 @dataclass
@@ -204,10 +190,10 @@ class Evaluator:
         self._constant: dict[int, bool] = {}
         self._roots: dict[int, Formula] = {}
         self._fo: dict[tuple[int, tuple[str, ...]], tuple[Callable, Formula]] = {}
-        # row indexing: element ranks, row <-> bit, and per-row images
-        self._rank = {e: i for i, e in enumerate(sorted(model.domain))}
+        # row indexing: row <-> bit, and per-row images
+        self._domain = set(model.domain)
         self._bit_of: dict[Row, int] = {}
-        self._row_of: dict[tuple[int, int], Row] = {}
+        self._row_of: dict[int, Row] = {}
         self._images: dict[tuple, dict[int, int]] = {}
 
     # -- public API ---------------------------------------------------------
@@ -217,7 +203,7 @@ class Evaluator:
         missing = [v for v in self._free(phi) if v not in team.vars]
         if missing:
             raise EvalError(f"team does not cover free variables {missing}")
-        return self._eval(phi, team.vars, self._mask(team))
+        return self._eval(phi, team.vars, self._mask(team.rows))
 
     def sentence_true(self, phi: Formula) -> bool:
         """Truth of a sentence: evaluation on the team of the single empty
@@ -256,52 +242,55 @@ class Evaluator:
     # -- rows and masks ------------------------------------------------------
 
     def _bit(self, row: Row) -> int:
-        """The bit of `row`; every bit of every mask is made here, so its
-        row can be looked up by `(width, bit)` in `_row_of`."""
+        """The bit of `row`, the next free one when `row` is new."""
         got = self._bit_of.get(row)
         if got is None:
-            i = 0
-            for e in row:
-                if e not in self._rank:
-                    raise EvalError(f"team row {row} leaves the model domain")
-                i = i * len(self._rank) + self._rank[e]
-            got = self._bit_of[row] = 1 << i
-            self._row_of[(len(row), got)] = row
+            if not self._domain.issuperset(row):
+                raise EvalError(f"team row {row} leaves the model domain")
+            got = self._bit_of[row] = 1 << len(self._bit_of)
+            self._row_of[got] = row
         return got
 
-    def _mask(self, team: Team) -> int:
-        return sum(map(self._bit, team.rows))
+    def _mask(self, rows) -> int:
+        return sum(map(self._bit, rows))
 
-    def _rows(self, vars: tuple[str, ...], mask: int) -> list[Row]:
-        return [self._row_of[(len(vars), b)] for b in _bits(mask)]
+    def _bits(self, mask: int) -> list[int]:
+        """The set bits of `mask`, in sorted-row order."""
+        out = []
+        while mask:
+            out.append(mask & -mask)
+            mask &= mask - 1
+        out.sort(key=self._row_of.__getitem__)
+        return out
 
-    def _image(self, op: tuple, vars: tuple[str, ...], mask: int) -> int:
-        """The rows `op` makes of those of `mask`, each row's image cached per
-        (op, vars): `("restrict", to)` keeps the columns `to`, and
-        `("assign", var, values)` sets or adds `var` as each value."""
-        table = self._images.get((op, vars))
+    def _rows(self, mask: int) -> list[Row]:
+        return [self._row_of[b] for b in self._bits(mask)]
+
+    def _image(self, key: tuple, mask: int, image: Callable[[Row], int]) -> int:
+        """The union of `image(row)` over the rows of `mask`, each row's
+        image cached under `key`."""
+        table = self._images.get(key)
         if table is None:
-            table = self._images[(op, vars)] = {}
+            table = self._images[key] = {}
         out = 0
         while mask:
             b = mask & -mask
             mask ^= b
             got = table.get(b)
             if got is None:
-                row = self._row_of[(len(vars), b)]
-                if op[0] == "restrict":
-                    got = self._bit(tuple(row[vars.index(v)] for v in op[1]))
-                else:
-                    i = vars.index(op[1]) if op[1] in vars else len(vars)
-                    got = sum({self._bit(row[:i] + (m,) + row[i + 1 :]) for m in op[2]})
-                table[b] = got
+                got = table[b] = image(self._row_of[b])
             out |= got
         return out
 
-    def _assign(self, vars: tuple[str, ...], mask: int, var: str, values) -> tuple[tuple[str, ...], int]:
+    def _restrict(self, vars: tuple[str, ...], mask: int, to: tuple[str, ...]) -> int:
+        """X restricted to the columns `to`."""
+        return self._image((vars, to), mask, lambda row: self._bit(tuple(row[vars.index(v)] for v in to)))
+
+    def _assign(self, vars: tuple[str, ...], mask: int, var: str, values: tuple) -> tuple[tuple[str, ...], int]:
         """X[values/var]: every row extended with, or overwritten by, each value."""
-        out = vars if var in vars else vars + (var,)
-        return out, self._image(("assign", var, tuple(values)), vars, mask)
+        i = vars.index(var) if var in vars else len(vars)
+        image = lambda row: sum({self._bit(row[:i] + (m,) + row[i + 1 :]) for m in values})  # noqa: E731
+        return vars[:i] + (var,) + vars[i + 1 :], self._image((vars, var, values), mask, image)
 
     # -- core recursion ------------------------------------------------------
 
@@ -309,7 +298,7 @@ class Evaluator:
         if self.mode == "fast":
             fv = self._free(node)
             if fv != vars:
-                vars, mask = fv, self._image(("restrict", fv), vars, mask)
+                vars, mask = fv, self._restrict(vars, mask, fv)
         key = (id(node), vars, mask)
         hit = self._memo.get(key)
         if hit is not None:
@@ -328,9 +317,9 @@ class Evaluator:
         if isinstance(node, BoolLit):
             return node.value or not mask
         if isinstance(node, (RelLit, EqLit)):
-            return all(self._tarski_row(vars, b, node) for b in _bits(mask))
+            return all(self._tarski_row(vars, b, node) for b in self._bits(mask))
         if isinstance(node, DepAtom):
-            return eval_atom(self.model, Team(vars, frozenset(self._rows(vars, mask))), node, self.registry)
+            return eval_atom(self.model, Team(vars, frozenset(self._rows(mask))), node, self.registry)
         if isinstance(node, And):
             return self._eval(node.left, vars, mask) and self._eval(node.right, vars, mask)
         if isinstance(node, Forall):
@@ -356,26 +345,26 @@ class Evaluator:
         if got is None:
             got = (compile_fo(self.model, phi, vars), phi)
             self._fo[(id(phi), vars)] = got
-        return got[0](self._row_of[(len(vars), bit)])
+        return got[0](self._row_of[bit])
 
     def _satisfying(self, vars: tuple[str, ...], mask: int, phi: Formula) -> int:
         """The subteam of the rows that satisfy first-order `phi`."""
-        return sum(b for b in _bits(mask) if self._tarski_row(vars, b, phi))
+        return sum(b for b in self._bits(mask) if self._tarski_row(vars, b, phi))
 
     # -- disjunction ----------------------------------------------------------
 
     def _split(self, node: Or, vars: tuple[str, ...], mask: int) -> bool:
         if self.mode == "naive":
-            for left, right in _cover_pairs(_bits(mask)):
+            for left, right in cover_parts(self._bits(mask)):
                 self.stats.covers += 1
-                if self._eval(node.left, vars, left) and self._eval(node.right, vars, right):
+                if self._eval(node.left, vars, sum(left)) and self._eval(node.right, vars, sum(right)):
                     return True
             return False
         if self.mode == "fast" and self._all_upward(node):
             flat_l = self._flattening(node.left)
             flat_r = self._flattening(node.right)
             left = right = 0
-            for b in _bits(mask):
+            for b in self._bits(mask):
                 in_l = self._tarski_row(vars, b, flat_l)
                 in_r = self._tarski_row(vars, b, flat_r)
                 if not (in_l or in_r):
@@ -388,15 +377,14 @@ class Evaluator:
         return self._split_by_tables(node, vars, mask)
 
     def _split_by_tables(self, node: Or, vars: tuple[str, ...], mask: int) -> bool:
-        subteams = _unions(_bits(mask))
         n = mask.bit_count()
         sat_left = []
         sat_right_closed = [False] * (1 << n)
-        for local in range(1 << n):
+        for local, sub in enumerate(_subteam_masks(self._bits(mask))):
             self.stats.subsets += 1
-            if self._eval(node.left, vars, subteams[local]):
+            if self._eval(node.left, vars, sub):
                 sat_left.append(local)
-            if self._eval(node.right, vars, subteams[local]):
+            if self._eval(node.right, vars, sub):
                 sat_right_closed[local] = True
         # downward closure: membership of X \ Y asks whether some superset
         # of the complement satisfies the right disjunct
@@ -414,11 +402,11 @@ class Evaluator:
 
     def _exists(self, node: Exists, vars: tuple[str, ...], mask: int) -> bool:
         if self.mode == "naive":
-            team = Team(vars, frozenset(self._rows(vars, mask)))
+            team = Team(vars, frozenset(self._rows(mask)))
             for choice in enumerate_choice_functions(team, self.model, 1):
                 self.stats.choices += 1
                 extended = supplement(team, choice, (node.var,))
-                if self._eval(node.body, extended.vars, self._mask(extended)):
+                if self._eval(node.body, extended.vars, self._mask(extended.rows)):
                     return True
             return False
         if self.mode != "fast":
@@ -443,23 +431,22 @@ class Evaluator:
     def _covers(self, vars: tuple[str, ...], mask: int, sub_vars: tuple[str, ...], sub: int, var: str) -> bool:
         """Does every assignment of the team survive, for some value of
         `var`, into `sub` (a subteam of the duplicated team)?"""
-        rest = ("restrict", tuple(v for v in vars if v != var))
-        return not self._image(rest, vars, mask) & ~self._image(rest, sub_vars, sub)
+        rest = tuple(v for v in vars if v != var)
+        return not self._restrict(vars, mask, rest) & ~self._restrict(sub_vars, sub, rest)
 
     def _exists_by_subsets(self, node: Exists, vars: tuple[str, ...], doubled: int) -> bool:
-        bits = _bits(doubled)
+        bits = self._bits(doubled)
         # group the duplicated rows, as local bits, by originating assignment
-        rest = ("restrict", tuple(v for v in vars if v != node.var))
+        rest = tuple(v for v in vars if v != node.var)
         groups: dict[int, int] = {}
         for k, b in enumerate(bits):
-            origin = self._image(rest, vars, b)
+            origin = self._restrict(vars, b, rest)
             groups[origin] = groups.get(origin, 0) | 1 << k
-        subteams = _unions(bits)
-        for local in range(1 << len(bits)):
+        for local, sub in enumerate(_subteam_masks(bits)):
             self.stats.subsets += 1
             if any(not local & g for g in groups.values()):
                 continue
-            if self._eval(node.body, vars, subteams[local]):
+            if self._eval(node.body, vars, sub):
                 return True
         return False
 
@@ -469,9 +456,9 @@ class Evaluator:
         if self.mode == "fast" and self._all_upward(node.body):
             kept = self._satisfying(vars, mask, self._flattening(node.body))
             return bool(kept) and self._eval(node.body, vars, kept)
-        for sub in _subteams(_bits(mask), low=1):
+        for rows in subsets(self._rows(mask), low=1):
             self.stats.subsets += 1
-            if self._eval(node.body, vars, sub):
+            if self._eval(node.body, vars, self._mask(rows)):
                 return True
         return False
 
@@ -482,21 +469,22 @@ class Evaluator:
         it does not hold, or when the node carries no choice to report)."""
         if not self.evaluate(phi, team):
             return None
-        vars, mask = team.vars, self._mask(team)
-        listed = lambda vars, mask: [list(r) for r in self._rows(vars, mask)]  # noqa: E731
+        vars, mask = team.vars, self._mask(team.rows)
+        listed = lambda rows: [list(r) for r in sorted(rows)]  # noqa: E731
         if isinstance(phi, Or):
-            for left, right in _cover_pairs(_bits(mask)):
-                if self._eval(phi.left, vars, left) and self._eval(phi.right, vars, right):
-                    return {"kind": "split", "left": listed(vars, left), "right": listed(vars, right)}
+            for left, right in cover_parts(self._rows(mask)):
+                if self._eval(phi.left, vars, self._mask(left)) and self._eval(phi.right, vars, self._mask(right)):
+                    return {"kind": "split", "left": listed(left), "right": listed(right)}
         if isinstance(phi, Exists):
             doubled_vars, doubled = self._assign(vars, mask, phi.var, self.model.domain)
-            for sub in _subteams(_bits(doubled)):
+            for rows in subsets(self._rows(doubled)):
+                sub = self._mask(rows)
                 if self._covers(vars, mask, doubled_vars, sub, phi.var) and self._eval(phi.body, doubled_vars, sub):
-                    return {"kind": "choice", "vars": list(doubled_vars), "rows": listed(doubled_vars, sub)}
+                    return {"kind": "choice", "vars": list(doubled_vars), "rows": listed(rows)}
         if isinstance(phi, Possibly):
-            for sub in _subteams(_bits(mask), low=1):
-                if self._eval(phi.body, vars, sub):
-                    return {"kind": "subteam", "rows": listed(vars, sub)}
+            for rows in subsets(self._rows(mask), low=1):
+                if self._eval(phi.body, vars, self._mask(rows)):
+                    return {"kind": "subteam", "rows": listed(rows)}
         if isinstance(phi, DepAtom):
             rel = team_project(team, phi.args)
             return {"kind": "projection", "columns": list(phi.args), "rows": [list(r) for r in sorted(rel)]}

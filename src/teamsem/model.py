@@ -258,17 +258,19 @@ def subsets(items: Iterable, low: int = 0, high: int | None = None) -> Iterator[
             yield frozenset(combo)
 
 
-def enumerate_covers(team: Team) -> Iterator[tuple[Team, Team]]:
-    """All ordered pairs (Y, Z) of subteams with Y ∪ Z = X.
+def cover_parts(items: list) -> Iterator[tuple[list, list]]:
+    """All ordered pairs of parts whose union is `items`: each item lands in
+    the left part only, the right only, or both (3^n pairs, in a fixed
+    order over the listed items)."""
+    for trits in itertools.product((0, 1, 2), repeat=len(items)):
+        yield [r for r, t in zip(items, trits) if t != 1], [r for r, t in zip(items, trits) if t != 0]
 
-    Each row lands in Y only, Z only, or both: 3^|X| pairs, in a fixed
-    order over the sorted rows.
-    """
-    rows = team.sorted_rows
-    for trits in itertools.product((0, 1, 2), repeat=len(rows)):
-        left = frozenset(r for r, t in zip(rows, trits) if t != 1)
-        right = frozenset(r for r, t in zip(rows, trits) if t != 0)
-        yield Team(team.vars, left), Team(team.vars, right)
+
+def enumerate_covers(team: Team) -> Iterator[tuple[Team, Team]]:
+    """All ordered pairs (Y, Z) of subteams with Y ∪ Z = X, as `cover_parts`
+    of the sorted rows."""
+    for left, right in cover_parts(team.sorted_rows):
+        yield Team(team.vars, frozenset(left)), Team(team.vars, frozenset(right))
 
 
 def enumerate_choice_functions(

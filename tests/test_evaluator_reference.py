@@ -18,6 +18,7 @@ VARS = ("x", "y", "z")
 M2 = Model(("a", "b"), {"P": Relation(1, frozenset({("a",)}))}, {})
 M3 = Model(("a", "b", "c"), {"P": Relation(1, frozenset({("a",), ("c",)}))}, {})
 UNSORTED = Model(("c", "a", "b"), {"P": Relation(1, frozenset({("c",), ("b",)}))}, {})
+WIDE = Model(tuple(f"e{i}" for i in range(10)), {"P": Relation(1, frozenset({("e3",), ("e7",)}))}, {})
 
 _var = st.sampled_from(VARS)
 _literals = st.one_of(
@@ -128,3 +129,22 @@ def test_a_full_memo_matches_the_reference_under_the_same_limit(mode, monkeypatc
     rows = sorted(itertools.product(M2.domain, repeat=3))[1:4]
     teams = [Team(VARS, frozenset(c)) for k in range(4) for c in itertools.combinations(rows, k)]
     assert_matches_reference(M2, phi, teams, mode)
+
+
+@pytest.mark.parametrize(
+    "text, modes",
+    [
+        ("E s. (s = x /\\ dep(y; s))", ("fast",)),
+        ("E s. (const(s) /\\ incl(s; z))", ("fast",)),
+        ("A s. (s = s /\\ dep(x; y))", MODES),
+    ],
+)
+def test_masks_grow_with_rows_met_not_with_the_row_space(text, modes):
+    # two rows of six columns, then a seventh: a bit per point of the row
+    # space would make every mask 10^7 bits wide
+    team = Team(("x", "y", "z", "u", "v", "w"), frozenset({WIDE.domain[:6], WIDE.domain[4:]}))
+    for mode in modes:
+        new = Evaluator(WIDE, mode=mode)
+        ref = evaluator_reference.Evaluator(WIDE, mode=mode)
+        assert new.evaluate_with_stats(parse(text), team) == ref.evaluate_with_stats(parse(text), team)
+        assert max(mask for _, _, mask in new._memo).bit_length() <= len(new._row_of)
