@@ -286,11 +286,11 @@ class Evaluator:
         """X restricted to the columns `to`."""
         return self._image((vars, to), mask, lambda row: self._bit(tuple(row[vars.index(v)] for v in to)))
 
-    def _assign(self, vars: tuple[str, ...], mask: int, var: str, values: tuple) -> tuple[tuple[str, ...], int]:
+    def _assign(self, vars: tuple[str, ...], mask: int, var: str, values) -> tuple[tuple[str, ...], int]:
         """X[values/var]: every row extended with, or overwritten by, each value."""
         i = vars.index(var) if var in vars else len(vars)
         image = lambda row: sum({self._bit(row[:i] + (m,) + row[i + 1 :]) for m in values})  # noqa: E731
-        return vars[:i] + (var,) + vars[i + 1 :], self._image((vars, var, values), mask, image)
+        return vars[:i] + (var,) + vars[i + 1 :], self._image((vars, var, tuple(values)), mask, image)
 
     # -- core recursion ------------------------------------------------------
 
