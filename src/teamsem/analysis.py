@@ -12,6 +12,7 @@ ceil(n/k) atom instances.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -53,6 +54,10 @@ class Height:
         return "unbounded" if self.value is None else str(self.value)
 
 
+# Bounded, since it keeps its formulas and registries alive; a witness
+# search asks again for the formula it just scored.  A failure is not
+# cached, so an atom registered after it resolves.
+@functools.lru_cache(maxsize=128)
 def compute_height(phi: Formula, registry: AtomRegistry | None = None) -> Height:
     """Add up the verified bounds of the dependency atoms in `phi`.
 

@@ -24,10 +24,19 @@ free bit when the evaluator first meets it, so a mask is as wide as the
 rows seen so far, not |dom|^|vars|; searches walk the set bits in sorted-row
 order.  `Team`s are built only for `evaluate`, `witness`, dependency atoms
 and naive mode's choice functions.
+
+Each node is compiled on first use, once per `(node, vars)`, into a
+function of masks that reads and fills the memo, keeps the counters and
+calls its children's functions directly; the strategy is settled then, not
+per call.  Restriction and duplication are cached per whole mask, and a
+first-order node keeps a mask of the rows whose truth is known and one of
+those where it holds, so the engine runs once per row.  A split by subteam
+tables over more than `SPLIT_ROWS_LIMIT` rows is an `EvalError`.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import asdict, dataclass
 from typing import Callable, Iterator
 
@@ -68,6 +77,7 @@ from .syntax import (
 
 MODES = ("naive", "oracle", "fast")
 MEMO_LIMIT = 200_000
+SPLIT_ROWS_LIMIT = 20  # the subteam tables of a split hold 2^rows entries
 
 
 def upward_fragment(
@@ -166,7 +176,8 @@ class Evaluator:
 
     One instance per (model, strategy); memoization is keyed by subformula
     identity and team, so sweeping many teams against one formula reuses
-    work.  The memo stops growing at `MEMO_LIMIT` entries.
+    work.  The memo stops growing at `MEMO_LIMIT` entries, and so does each
+    table of team images.
     """
 
     def __init__(
@@ -182,28 +193,33 @@ class Evaluator:
         self.mode = mode
         self.stats = EvalStats()
         self._memo: dict[tuple, bool] = {}
-        # per-node caches; they keep derived nodes alive so ids stay valid
         self._fv: dict[int, tuple[str, ...]] = {}
-        self._flat: dict[int, Formula] = {}
-        self._expansion: dict[int, Formula] = {}
         self._upward: dict[int, bool] = {}
-        self._constant: dict[int, bool] = {}
         self._roots: dict[int, Formula] = {}
-        self._fo: dict[tuple[int, tuple[str, ...]], tuple[Callable, Formula]] = {}
-        # row indexing: row <-> bit, and per-row images
+        # per (node id, vars): the compiled node, and a first-order node's
+        # rows; each entry keeps its node alive, so ids stay valid
+        self._compiled: dict[tuple, Callable[[int], bool]] = {}
+        self._truths: dict[tuple, Callable[[int], int]] = {}
+        # row indexing: row <-> bit, and team images per operation
         self._domain = set(model.domain)
         self._bit_of: dict[Row, int] = {}
         self._row_of: dict[int, Row] = {}
-        self._images: dict[tuple, dict[int, int]] = {}
+        self._images: dict[tuple, Callable[[int], int]] = {}
+        # what the compiled functions use of the evaluator: a strong
+        # reference would make a cycle that only the collector frees
+        self._me = weakref.proxy(self)
 
     # -- public API ---------------------------------------------------------
 
     def evaluate(self, phi: Formula, team: Team) -> bool:
-        self._roots.setdefault(id(phi), phi)  # pin subformula ids for the memo's lifetime
-        missing = [v for v in self._free(phi) if v not in team.vars]
-        if missing:
-            raise EvalError(f"team does not cover free variables {missing}")
-        return self._eval(phi, team.vars, self._mask(team.rows))
+        run = self._compiled.get((id(phi), team.vars))
+        if run is None:  # else `phi` is pinned, and `vars` covers it
+            self._roots.setdefault(id(phi), phi)  # pin subformula ids for the memo's lifetime
+            missing = [v for v in self._free(phi) if v not in team.vars]
+            if missing:
+                raise EvalError(f"team does not cover free variables {missing}")
+            run = self._at(phi, team.vars)
+        return run(self._mask(team.rows))
 
     def sentence_true(self, phi: Formula) -> bool:
         """Truth of a sentence: evaluation on the team of the single empty
@@ -221,20 +237,13 @@ class Evaluator:
     # -- node caches ---------------------------------------------------------
 
     def _free(self, node: Formula) -> tuple[str, ...]:
-        got = self._fv.get(id(node))
-        if got is None:
-            got = tuple(sorted(free_variables(node)))
-            self._fv[id(node)] = got
-        return got
+        return self._cached(self._fv, id(node), lambda: tuple(sorted(free_variables(node))))
 
-    def _cached(self, cache: dict, node: Formula, build: Callable):
-        got = cache.get(id(node))
+    def _cached(self, cache: dict, key, build: Callable):
+        got = cache.get(key)
         if got is None:
-            got = cache[id(node)] = build(node)
+            got = cache[key] = build()
         return got
-
-    def _flattening(self, node: Formula) -> Formula:
-        return self._cached(self._flat, node, flatten)
 
     def _all_upward(self, node: Formula) -> bool:
         return upward_fragment(node, self.registry, self._upward)
@@ -266,125 +275,174 @@ class Evaluator:
     def _rows(self, mask: int) -> list[Row]:
         return [self._row_of[b] for b in self._bits(mask)]
 
-    def _image(self, key: tuple, mask: int, image: Callable[[Row], int]) -> int:
-        """The union of `image(row)` over the rows of `mask`, each row's
-        image cached under `key`."""
-        table = self._images.get(key)
-        if table is None:
-            table = self._images[key] = {}
-        out = 0
-        while mask:
-            b = mask & -mask
-            mask ^= b
-            got = table.get(b)
-            if got is None:
-                got = table[b] = image(self._row_of[b])
-            out |= got
-        return out
+    def _image(self, key: tuple, image: Callable[[Row], int]) -> Callable[[int], int]:
+        """The map from a mask to the union of `image(row)` over its rows,
+        kept once per `key`; it caches whole masks, and a row's image
+        under the row's own bit."""
+        me, table = self._me, {}
 
-    def _restrict(self, vars: tuple[str, ...], mask: int, to: tuple[str, ...]) -> int:
+        def apply(mask: int) -> int:
+            out = table.get(mask)
+            if out is None:
+                out = 0
+                for b in me._bits(mask):
+                    one = table.get(b)
+                    if one is None:
+                        one = image(me._row_of[b])
+                        if len(table) < MEMO_LIMIT:
+                            table[b] = one
+                    out |= one
+                if len(table) < MEMO_LIMIT:
+                    table[mask] = out
+            return out
+
+        return self._images.setdefault(key, apply)
+
+    def _restrict(self, vars: tuple[str, ...], to: tuple[str, ...]) -> Callable[[int], int]:
         """X restricted to the columns `to`."""
-        return self._image((vars, to), mask, lambda row: self._bit(tuple(row[vars.index(v)] for v in to)))
+        me, idx = self._me, [vars.index(v) for v in to]
+        return self._image((vars, to), lambda row: me._bit(tuple(row[i] for i in idx)))
 
-    def _assign(self, vars: tuple[str, ...], mask: int, var: str, values) -> tuple[tuple[str, ...], int]:
+    def _assign(self, vars: tuple[str, ...], var: str, values) -> tuple[tuple[str, ...], Callable[[int], int]]:
         """X[values/var]: every row extended with, or overwritten by, each value."""
-        i = vars.index(var) if var in vars else len(vars)
-        image = lambda row: sum({self._bit(row[:i] + (m,) + row[i + 1 :]) for m in values})  # noqa: E731
-        return vars[:i] + (var,) + vars[i + 1 :], self._image((vars, var, tuple(values)), mask, image)
+        me, i = self._me, vars.index(var) if var in vars else len(vars)
+        image = lambda row: sum({me._bit(row[:i] + (m,) + row[i + 1 :]) for m in values})  # noqa: E731
+        return vars[:i] + (var,) + vars[i + 1 :], self._image((vars, var, tuple(values)), image)
 
-    # -- core recursion ------------------------------------------------------
+    # -- first-order nodes -------------------------------------------------------
 
-    def _eval(self, node: Formula, vars: tuple[str, ...], mask: int) -> bool:
-        if self.mode == "fast":
-            fv = self._free(node)
-            if fv != vars:
-                vars, mask = fv, self._restrict(vars, mask, fv)
-        key = (id(node), vars, mask)
-        hit = self._memo.get(key)
-        if hit is not None:
-            self.stats.memo_hits += 1
-            return hit
-        self.stats.nodes += 1
-        rows = mask.bit_count()
-        if rows > self.stats.max_team_rows:
-            self.stats.max_team_rows = rows
-        out = self._dispatch(node, vars, mask)
-        if len(self._memo) < MEMO_LIMIT:
-            self._memo[key] = out
-        return out
+    def _satisfying(self, phi: Formula, vars: tuple[str, ...]) -> Callable[[int], int]:
+        """The map from a mask to its rows where first-order `phi` holds,
+        kept once per (node, vars); each row counts as looked at.  Two
+        masks hold the rows whose truth is known and the rows where it is
+        true; the engine, compiled on first use, runs only on rows not yet
+        known, in sorted-row order."""
+        me, run, masks = self._me, None, [0, 0]
 
-    def _dispatch(self, node: Formula, vars: tuple[str, ...], mask: int) -> bool:
+        def satisfying(mask: int) -> int:  # its closure pins `phi`
+            nonlocal run
+            me.stats.tarski_rows += mask.bit_count()
+            if mask & ~masks[0]:
+                run = run or compile_fo(me.model, phi, vars)
+                for b in me._bits(mask & ~masks[0]):
+                    masks[1] |= b if run(me._row_of[b]) else 0
+                    masks[0] |= b
+            return mask & masks[1]
+
+        return self._truths.setdefault((id(phi), vars), satisfying)
+
+    # -- compiled nodes ----------------------------------------------------------
+
+    def _at(self, node: Formula, vars: tuple[str, ...]) -> Callable[[int], bool]:
+        """`node` compiled to a function of masks over `vars`, once per
+        (node, vars): it reads and fills the memo, counts, and runs the
+        node's body, built on first use.  In fast mode it restricts the
+        mask to the node's free variables first."""
+        return self._cached(self._compiled, (id(node), vars), lambda: self._compile(node, vars))
+
+    def _compile(self, node: Formula, vars: tuple[str, ...]) -> Callable[[int], bool]:
+        fv = self._free(node) if self.mode == "fast" else vars
+        if fv != vars:
+            inner, restricted = self._at(node, fv), self._restrict(vars, fv)
+            return lambda mask: inner(restricted(mask))
+        me, memo, nid, body = self._me, self._memo, id(node), None
+
+        def run(mask: int) -> bool:
+            nonlocal body
+            key = (nid, vars, mask)
+            hit = memo.get(key)
+            if hit is not None:
+                me.stats.memo_hits += 1
+                return hit
+            stats = me.stats
+            stats.nodes += 1
+            if mask.bit_count() > stats.max_team_rows:
+                stats.max_team_rows = mask.bit_count()
+            body = body or me._body(node, vars)
+            out = body(mask)
+            if len(memo) < MEMO_LIMIT:
+                memo[key] = out
+            return out
+
+        return run
+
+    def _body(self, node: Formula, vars: tuple[str, ...]) -> Callable[[int], bool]:
+        """`node` on masks over `vars`, past the memo."""
+        me = self._me
         if isinstance(node, BoolLit):
-            return node.value or not mask
+            return lambda mask: node.value or not mask
         if isinstance(node, (RelLit, EqLit)):
-            return all(self._tarski_row(vars, b, node) for b in self._bits(mask))
+            # row by row in sorted order, stopping at the first false one
+            satisfying = self._satisfying(node, vars)
+            return lambda mask: all(satisfying(b) for b in me._bits(mask))
         if isinstance(node, DepAtom):
-            return eval_atom(self.model, Team(vars, frozenset(self._rows(mask))), node, self.registry)
+            return lambda mask: eval_atom(me.model, Team(vars, frozenset(me._rows(mask))), node, me.registry)
         if isinstance(node, And):
-            return self._eval(node.left, vars, mask) and self._eval(node.right, vars, mask)
+            left, right = self._at(node.left, vars), self._at(node.right, vars)
+            return lambda mask: left(mask) and right(mask)
         if isinstance(node, Forall):
-            return self._eval(node.body, *self._assign(vars, mask, node.var, self.model.domain))
+            body_vars, duplicated = self._assign(vars, node.var, self.model.domain)
+            body = self._at(node.body, body_vars)
+            return lambda mask: body(duplicated(mask))
         if isinstance(node, Or):
-            return self._split(node, vars, mask)
+            return self._split(node, vars)
         if isinstance(node, Exists):
-            return self._exists(node, vars, mask)
+            return self._exists(node, vars)
         if isinstance(node, Possibly):
-            return self._possibly(node, vars, mask)
+            return self._possibly(node, vars)
         if isinstance(node, RestrictedBy):
             if self.mode == "fast":
-                return self._eval(node.body, vars, self._satisfying(vars, mask, node.guard))
-            expansion = self._cached(self._expansion, node, lambda n: restrict(n.body, n.guard))
-            return self._split(expansion, vars, mask)
+                body, satisfying = self._at(node.body, vars), self._satisfying(node.guard, vars)
+                return lambda mask: body(satisfying(mask))
+            return self._split(restrict(node.body, node.guard), vars)
         raise EvalError(f"cannot evaluate node {node!r}")
-
-    def _tarski_row(self, vars: tuple[str, ...], bit: int, phi: Formula) -> bool:
-        """Classical truth of first-order `phi` at the row of `bit`, through
-        the engine compiled once per (node, vars); the entry pins the node."""
-        self.stats.tarski_rows += 1
-        got = self._fo.get((id(phi), vars))
-        if got is None:
-            got = (compile_fo(self.model, phi, vars), phi)
-            self._fo[(id(phi), vars)] = got
-        return got[0](self._row_of[bit])
-
-    def _satisfying(self, vars: tuple[str, ...], mask: int, phi: Formula) -> int:
-        """The subteam of the rows that satisfy first-order `phi`."""
-        return sum(b for b in self._bits(mask) if self._tarski_row(vars, b, phi))
 
     # -- disjunction ----------------------------------------------------------
 
-    def _split(self, node: Or, vars: tuple[str, ...], mask: int) -> bool:
+    def _split(self, node: Or, vars: tuple[str, ...]) -> Callable[[int], bool]:
+        me, left, right = self._me, self._at(node.left, vars), self._at(node.right, vars)
         if self.mode == "naive":
-            for left, right in cover_parts(self._bits(mask)):
-                self.stats.covers += 1
-                if self._eval(node.left, vars, sum(left)) and self._eval(node.right, vars, sum(right)):
-                    return True
-            return False
-        if self.mode == "fast" and self._all_upward(node):
-            flat_l = self._flattening(node.left)
-            flat_r = self._flattening(node.right)
-            left = right = 0
-            for b in self._bits(mask):
-                in_l = self._tarski_row(vars, b, flat_l)
-                in_r = self._tarski_row(vars, b, flat_r)
-                if not (in_l or in_r):
-                    return False
-                if in_l:
-                    left |= b
-                if in_r:
-                    right |= b
-            return self._eval(node.left, vars, left) and self._eval(node.right, vars, right)
-        return self._split_by_tables(node, vars, mask)
 
-    def _split_by_tables(self, node: Or, vars: tuple[str, ...], mask: int) -> bool:
+            def covers(mask: int) -> bool:
+                for part_l, part_r in cover_parts(me._bits(mask)):
+                    me.stats.covers += 1
+                    if left(sum(part_l)) and right(sum(part_r)):
+                        return True
+                return False
+
+            return covers
+        if self.mode == "fast" and self._all_upward(node):
+            sat_l = self._satisfying(flatten(node.left), vars)
+            sat_r = self._satisfying(flatten(node.right), vars)
+
+            def guided(mask: int) -> bool:
+                # row by row in sorted order, so the scan stops (and an
+                # engine error surfaces) where it always did
+                parts_l = parts_r = 0
+                for b in me._bits(mask):
+                    in_l, in_r = sat_l(b), sat_r(b)
+                    if not (in_l or in_r):
+                        return False
+                    parts_l |= in_l
+                    parts_r |= in_r
+                return left(parts_l) and right(parts_r)
+
+            return guided
+        return lambda mask: me._split_by_tables(left, right, mask)
+
+    def _split_by_tables(self, left: Callable, right: Callable, mask: int) -> bool:
         n = mask.bit_count()
+        if n > SPLIT_ROWS_LIMIT:
+            raise EvalError(
+                f"a split over {n} rows needs tables of 2^{n} subteams; the limit is {SPLIT_ROWS_LIMIT} rows"
+            )
         sat_left = []
-        sat_right_closed = [False] * (1 << n)
+        sat_right_closed = bytearray(1 << n)
         for local, sub in enumerate(_subteam_masks(self._bits(mask))):
             self.stats.subsets += 1
-            if self._eval(node.left, vars, sub):
+            if left(sub):
                 sat_left.append(local)
-            if self._eval(node.right, vars, sub):
+            if right(sub):
                 sat_right_closed[local] = True
         # downward closure: membership of X \ Y asks whether some superset
         # of the complement satisfies the right disjunct
@@ -400,67 +458,92 @@ class Evaluator:
 
     # -- existential ------------------------------------------------------------
 
-    def _exists(self, node: Exists, vars: tuple[str, ...], mask: int) -> bool:
+    def _exists(self, node: Exists, vars: tuple[str, ...]) -> Callable[[int], bool]:
+        me = self._me
+        body_vars, duplicated = self._assign(vars, node.var, self.model.domain)
+        body = self._at(node.body, body_vars)
         if self.mode == "naive":
-            team = Team(vars, frozenset(self._rows(mask)))
-            for choice in enumerate_choice_functions(team, self.model, 1):
-                self.stats.choices += 1
-                extended = supplement(team, choice, (node.var,))
-                if self._eval(node.body, extended.vars, self._mask(extended.rows)):
-                    return True
-            return False
+
+            def choices(mask: int) -> bool:
+                team = Team(vars, frozenset(me._rows(mask)))
+                for choice in enumerate_choice_functions(team, me.model, 1):
+                    me.stats.choices += 1
+                    if body(me._mask(supplement(team, choice, (node.var,)).rows)):
+                        return True
+                return False
+
+            return choices
         if self.mode != "fast":
-            return self._exists_by_subsets(node, *self._assign(vars, mask, node.var, self.model.domain))
+            search = self._exists_by_subsets(node, body_vars)
+            return lambda mask: search(duplicated(mask))
         upward = self._all_upward(node.body)
-        if not upward and self._cached(self._constant, node, _forces_constant):
-            for value in self.model.domain:
-                self.stats.choices += 1
-                if self._eval(node.body, *self._assign(vars, mask, node.var, (value,))):
-                    return True
-            return False
+        if not upward and _forces_constant(node):
+            constants = [self._assign(vars, node.var, (value,))[1] for value in self.model.domain]
+
+            def constant(mask: int) -> bool:
+                for assigned in constants:
+                    me.stats.choices += 1
+                    if body(assigned(mask)):
+                        return True
+                return False
+
+            return constant
         # no witness can use a duplicated row that fails the flattening,
         # and every original assignment must still be extendable
-        doubled_vars, doubled = self._assign(vars, mask, node.var, self.model.domain)
-        kept = self._satisfying(doubled_vars, doubled, self._flattening(node.body))
-        if not self._covers(vars, mask, doubled_vars, kept, node.var):
-            return False
-        if upward:
-            return self._eval(node.body, doubled_vars, kept)
-        return self._exists_by_subsets(node, doubled_vars, kept)
+        satisfying = self._satisfying(flatten(node.body), body_vars)
+        covers = self._covers(vars, body_vars, node.var)
+        search = body if upward else self._exists_by_subsets(node, body_vars)
 
-    def _covers(self, vars: tuple[str, ...], mask: int, sub_vars: tuple[str, ...], sub: int, var: str) -> bool:
-        """Does every assignment of the team survive, for some value of
+        def guided(mask: int) -> bool:
+            kept = satisfying(duplicated(mask))
+            return covers(mask, kept) and search(kept)
+
+        return guided
+
+    def _covers(self, vars: tuple[str, ...], sub_vars: tuple[str, ...], var: str) -> Callable[[int, int], bool]:
+        """Does every assignment of a team survive, for some value of
         `var`, into `sub` (a subteam of the duplicated team)?"""
         rest = tuple(v for v in vars if v != var)
-        return not self._restrict(vars, mask, rest) & ~self._restrict(sub_vars, sub, rest)
+        of_team, of_sub = self._restrict(vars, rest), self._restrict(sub_vars, rest)
+        return lambda mask, sub: not of_team(mask) & ~of_sub(sub)
 
-    def _exists_by_subsets(self, node: Exists, vars: tuple[str, ...], doubled: int) -> bool:
-        bits = self._bits(doubled)
-        # group the duplicated rows, as local bits, by originating assignment
-        rest = tuple(v for v in vars if v != node.var)
-        groups: dict[int, int] = {}
-        for k, b in enumerate(bits):
-            origin = self._restrict(vars, b, rest)
-            groups[origin] = groups.get(origin, 0) | 1 << k
-        for local, sub in enumerate(_subteam_masks(bits)):
-            self.stats.subsets += 1
-            if any(not local & g for g in groups.values()):
-                continue
-            if self._eval(node.body, vars, sub):
-                return True
-        return False
+    def _exists_by_subsets(self, node: Exists, vars: tuple[str, ...]) -> Callable[[int], bool]:
+        me, body = self._me, self._at(node.body, vars)
+        origin = self._restrict(vars, tuple(v for v in vars if v != node.var))
+
+        def search(doubled: int) -> bool:
+            bits = me._bits(doubled)
+            # group the duplicated rows, as local bits, by originating assignment
+            groups: dict[int, int] = {}
+            for k, b in enumerate(bits):
+                row = origin(b)
+                groups[row] = groups.get(row, 0) | 1 << k
+            for local, sub in enumerate(_subteam_masks(bits)):
+                me.stats.subsets += 1
+                if any(not local & g for g in groups.values()):
+                    continue
+                if body(sub):
+                    return True
+            return False
+
+        return search
 
     # -- possibility ------------------------------------------------------------
 
-    def _possibly(self, node: Possibly, vars: tuple[str, ...], mask: int) -> bool:
+    def _possibly(self, node: Possibly, vars: tuple[str, ...]) -> Callable[[int], bool]:
+        me, body = self._me, self._at(node.body, vars)
         if self.mode == "fast" and self._all_upward(node.body):
-            kept = self._satisfying(vars, mask, self._flattening(node.body))
-            return bool(kept) and self._eval(node.body, vars, kept)
-        for rows in subsets(self._rows(mask), low=1):
-            self.stats.subsets += 1
-            if self._eval(node.body, vars, self._mask(rows)):
-                return True
-        return False
+            satisfying = self._satisfying(flatten(node.body), vars)
+            return lambda mask: bool(kept := satisfying(mask)) and body(kept)
+
+        def search(mask: int) -> bool:
+            for rows in subsets(me._rows(mask), low=1):
+                me.stats.subsets += 1
+                if body(me._mask(rows)):
+                    return True
+            return False
+
+        return search
 
     # -- witnesses ---------------------------------------------------------------
 
@@ -472,18 +555,21 @@ class Evaluator:
         vars, mask = team.vars, self._mask(team.rows)
         listed = lambda rows: [list(r) for r in sorted(rows)]  # noqa: E731
         if isinstance(phi, Or):
-            for left, right in cover_parts(self._rows(mask)):
-                if self._eval(phi.left, vars, self._mask(left)) and self._eval(phi.right, vars, self._mask(right)):
-                    return {"kind": "split", "left": listed(left), "right": listed(right)}
+            left, right = self._at(phi.left, vars), self._at(phi.right, vars)
+            for part_l, part_r in cover_parts(self._rows(mask)):
+                if left(self._mask(part_l)) and right(self._mask(part_r)):
+                    return {"kind": "split", "left": listed(part_l), "right": listed(part_r)}
         if isinstance(phi, Exists):
-            doubled_vars, doubled = self._assign(vars, mask, phi.var, self.model.domain)
-            for rows in subsets(self._rows(doubled)):
+            doubled_vars, duplicated = self._assign(vars, phi.var, self.model.domain)
+            body, covers = self._at(phi.body, doubled_vars), self._covers(vars, doubled_vars, phi.var)
+            for rows in subsets(self._rows(duplicated(mask))):
                 sub = self._mask(rows)
-                if self._covers(vars, mask, doubled_vars, sub, phi.var) and self._eval(phi.body, doubled_vars, sub):
+                if covers(mask, sub) and body(sub):
                     return {"kind": "choice", "vars": list(doubled_vars), "rows": listed(rows)}
         if isinstance(phi, Possibly):
+            body = self._at(phi.body, vars)
             for rows in subsets(self._rows(mask), low=1):
-                if self._eval(phi.body, vars, self._mask(rows)):
+                if body(self._mask(rows)):
                     return {"kind": "subteam", "rows": listed(rows)}
         if isinstance(phi, DepAtom):
             rel = team_project(team, phi.args)

@@ -16,6 +16,8 @@ from teamsem import (
     totality_unboundedness_witness,
 )
 from teamsem.analysis import AnalysisError
+from teamsem.atoms import AtomError, AtomRegistry
+from teamsem.syntax import And, DepAtom
 
 
 def team(vars, *rows):
@@ -67,6 +69,25 @@ def test_height_out_of_scope_atoms():
 
 def test_height_quantifiers_preserve():
     assert compute_height(parse("E x. A y. inconst(x)")).value == 2
+
+
+def test_height_is_cached_per_registry():
+    phi = And(DepAtom("some", (("x",),)), parse("NE"))
+    heights = []
+    for bound in (1, 2):
+        reg = AtomRegistry()
+        reg.register_custom("some", 1, parse("E x. R(x)"), upwards_closed=True, bound=bound)
+        heights.append(compute_height(phi, reg).value)
+    assert heights == [2, 3]
+
+
+def test_height_failure_is_not_cached():
+    phi = DepAtom("some", (("x",),))
+    reg = AtomRegistry()
+    with pytest.raises(AtomError, match="unknown atom some"):
+        compute_height(phi, reg)
+    reg.register_custom("some", 1, parse("E x. R(x)"), upwards_closed=True, bound=1)
+    assert compute_height(phi, reg).value == 1
 
 
 # --- small witnesses --------------------------------------------------------------

@@ -499,3 +499,10 @@ def test_analyze_with_witness(capsys, model_file, team_file):
 def test_analyze_needs_model_and_team_together(capsys, model_file):
     assert main(["analyze", "NE", "--model", model_file]) == 2
     assert "both --model and --team" in capsys.readouterr().err
+
+
+def test_eval_refuses_a_split_too_wide_to_tabulate(capsys, tmp_path):
+    model = atom_file(tmp_path, "m40", {"domain": [f"e{i}" for i in range(40)]})
+    args = ["eval", "A u. A v. (v = u \\/ dep(u; v))", "--model", model, "--sentence", "--mode", "oracle"]
+    assert main(args) == 2
+    assert "split over 1600 rows" in capsys.readouterr().err

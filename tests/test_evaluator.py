@@ -1,13 +1,15 @@
 """The lax team-semantics evaluator, in all three modes."""
 
+import gc
 import itertools
+import weakref
 
 from hypothesis import given
 from hypothesis import strategies as st
 
 import pytest
 
-from teamsem import Model, Relation, Team, evaluate, parse, sentence_true
+from teamsem import Model, Relation, Team, evaluate, evaluator, parse, sentence_true
 from teamsem.atoms import DEFAULT_REGISTRY
 from teamsem.evaluator import Evaluator, MODES, upward_fragment
 from teamsem.model import EvalError, SINGLETON_EMPTY_TEAM, tarski_eval
@@ -282,3 +284,51 @@ def test_memoization_is_stable(m2):
     X = team("xy", ("a", "a"), ("b", "a"))
     first = ev.evaluate(phi, X)
     assert ev.evaluate(phi, X) == first == evaluate(m2, X, phi, mode="naive")
+
+
+@pytest.mark.parametrize("mode", ("oracle", "fast"))
+def test_a_split_over_too_many_rows_is_an_eval_error(mode):
+    # dep is not upwards closed, so both modes split by subteam tables:
+    # 1600 rows would need a table of 2^1600 entries
+    model = Model(tuple(f"e{i}" for i in range(40)), {}, {})
+    phi = parse("A u. A v. (v = u \\/ dep(u; v))")
+    with pytest.raises(EvalError, match="split over 1600 rows .* limit is 20 rows"):
+        Evaluator(model, mode=mode).sentence_true(phi)
+
+
+def test_the_split_limit_counts_the_rows_of_the_split(m2, monkeypatch):
+    monkeypatch.setattr(evaluator, "SPLIT_ROWS_LIMIT", 2)
+    phi = parse("P(x) \\/ dep(y; x)")
+    ev = Evaluator(m2, mode="oracle")
+    assert ev.evaluate(phi, team("xy", ("a", "a"), ("b", "a")))
+    with pytest.raises(EvalError, match="split over 3 rows"):
+        ev.evaluate(phi, team("xy", ("a", "a"), ("b", "a"), ("b", "b")))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_an_evaluator_is_freed_without_the_cycle_collector(mode, m2):
+    # the compiled functions must not refer back to their evaluator: a
+    # cycle would keep its memo and tables alive until a full collection
+    X = team("xy", ("a", "a"), ("b", "a"))
+    texts = [
+        "T /\\ P(x)",
+        "A z. (P(z) \\/ dep(x; z))",
+        "NE \\/ NE",
+        "E z. (dep(x; z) /\\ P(z))",
+        "E z. (const(z) /\\ nonexcl(x; z))",
+        "E z. incl(z; x)",
+        "poss(dep(x; y) /\\ NE)",
+        "poss(NE)",
+        "restrict(dep(x; y) ; P(x))",
+    ]
+    gc.disable()
+    try:
+        for text in texts:
+            ev = Evaluator(m2, mode=mode)
+            ev.evaluate(parse(text), X)
+            ev.witness(parse(text), X)
+            ref = weakref.ref(ev)
+            del ev
+            assert ref() is None, text
+    finally:
+        gc.enable()

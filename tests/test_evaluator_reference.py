@@ -148,3 +148,33 @@ def test_masks_grow_with_rows_met_not_with_the_row_space(text, modes):
         ref = evaluator_reference.Evaluator(WIDE, mode=mode)
         assert new.evaluate_with_stats(parse(text), team) == ref.evaluate_with_stats(parse(text), team)
         assert max(mask for _, _, mask in new._memo).bit_length() <= len(new._row_of)
+
+
+def _outcome(ev, phi, team):
+    try:
+        return ev.evaluate_with_stats(phi, team)
+    except EvalError as e:
+        return "EvalError", str(e)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize(
+    "text",
+    [
+        "x = y \\/ Q(x)",
+        "restrict(Q(x) ; x = y)",
+        "poss(x = y /\\ Q(x))",
+        "(x != y /\\ Q(x)) \\/ !P(y)",
+        "E z. (z = x /\\ (x != y \\/ Q(z)))",
+    ],
+)
+def test_a_relation_missing_on_some_rows_fails_where_the_reference_does(text, mode):
+    # Q is not in the model, so the engine raises on exactly the rows that
+    # reach it; rows whose truth is already known must not hide or add one
+    phi = parse(text)
+    rows = sorted(itertools.product(M2.domain, repeat=2))
+    teams = [Team(("x", "y"), frozenset(c)) for k in range(5) for c in itertools.combinations(rows, k)]
+    new, ref = Evaluator(M2, mode=mode), evaluator_reference.Evaluator(M2, mode=mode)
+    outcomes = [_outcome(new, phi, team) for team in teams]
+    assert outcomes == [_outcome(ref, phi, team) for team in teams]
+    assert {out[0] == "EvalError" for out in outcomes} == {True, False}
