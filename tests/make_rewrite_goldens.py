@@ -1,4 +1,4 @@
-"""Regenerate `goldens/rewrites.json`, the rendered rewrites of the three
+"""Regenerate `goldens/rewrites.json`, the rendered rewrites of the four
 corpora of `test_rewrite_goldens.py`, the atom catalog and the atom
 definitions.
 

@@ -1,8 +1,11 @@
-"""Byte-level goldens for the syntactic rewrites over three corpora.
+"""Byte-level goldens for the syntactic rewrites over four corpora.
 
 The corpora are the translation sweep's (the translation atoms at depth
 three), possibility over every body of the possibility sweep's corpus,
-and the six definability instances of the two definable negative atoms.
+the six definability instances of the two definable negative atoms, and
+`nested`: the constructs the translation sweep never builds (nested
+possibility, restrictions under universals, constancy over possibility)
+around depth-two bodies that also use the definable negative atoms.
 For each corpus `goldens/rewrites.json` holds the formula count and, per
 view, the sha256 of the `pretty` lines of that view over the corpus:
 `translate` (its sentence, clean form and prefix, raw and simplified),
@@ -34,7 +37,12 @@ from teamsem.harness import (
     generate_formulas,
 )
 from teamsem.syntax import (
+    And,
+    DepAtom,
+    Exists,
+    Forall,
     Possibly,
+    RestrictedBy,
     desugar_possibility,
     flatten,
     free_variables,
@@ -54,6 +62,7 @@ DEFINABILITY = (
     "noncindep(x; y | x)",
     "noncindep(x; x | y)",
 )
+GUARDS = ("x = y", "P(x)", "E z. (P(z) /\\ z != x)")
 
 
 def corpora() -> dict[str, list]:
@@ -64,7 +73,28 @@ def corpora() -> dict[str, list]:
         "translation": generate_formulas(DEFAULT_TRANSLATION_ATOMS, SIGNATURE, 3, VARS),
         "possibility": [Possibly(body) for body in bodies],
         "definability": [parse(text) for text in DEFINABILITY],
+        "nested": nested(),
     }
+
+
+def nested() -> list:
+    """Restrictions, plain and under a universal, around every fourth
+    depth-two body; `poss(b)`, `poss(poss(b))` and `E y. (const(y) /\\
+    poss(b))` around every eighth, since possibility is what makes a
+    translation slow."""
+    bodies = generate_formulas(
+        DEFAULT_TRANSLATION_ATOMS + ("nonincl", "noncindep"),
+        SIGNATURE, 2, VARS, binary_cap=3, mix_cap=2, quant_cap=2,
+    )
+    guards = [parse(text) for text in GUARDS]
+    out = []
+    for b in bodies[::4]:
+        out.extend(RestrictedBy(b, g) for g in guards)
+        out.extend(Forall("y", RestrictedBy(b, g)) for g in guards)
+    const_y = DepAtom("const", (("y",),))
+    for b in bodies[::8]:
+        out += [Possibly(b), Possibly(Possibly(b)), Exists("y", And(const_y, Possibly(b)))]
+    return out
 
 
 def _translated(phi, simplify_output: bool) -> dict[str, str]:
@@ -122,7 +152,7 @@ def render_definitions() -> str:
     return _sha256(lines)
 
 
-@pytest.mark.parametrize("name", ["translation", "possibility", "definability"])
+@pytest.mark.parametrize("name", ["translation", "possibility", "definability", "nested"])
 def test_corpus_rewrites_match_golden(name):
     golden = json.loads(GOLDEN.read_text())["corpora"][name]
     got = render(corpora()[name])
