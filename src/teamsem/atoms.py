@@ -85,15 +85,6 @@ class AtomDefinition:
 # Direct evaluators (over the projected relation)
 
 
-def _split(t: Row, widths: tuple[int, ...]) -> tuple[Row, ...]:
-    out = []
-    i = 0
-    for w in widths:
-        out.append(t[i : i + w])
-        i += w
-    return tuple(out)
-
-
 def _direct_dep(widths):
     n = widths[0]
 

@@ -382,7 +382,10 @@ def compile_fo(model: Model, phi: Formula, vars: tuple[str, ...]) -> Callable[..
 
         return block
 
-    fn = comp(rewritten, first, top)
+    try:
+        fn = comp(rewritten, first, top)
+    finally:
+        del comp  # a self-referring closure would leave a cycle for the collector
     tail = [model.constants[c] for c in constants] + [None] * (width - first)
     static = {name: rel.tuples for name, rel in model.relations.items()}
 

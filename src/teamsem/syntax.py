@@ -506,7 +506,10 @@ def substitute_vars(
             return RestrictedBy(walk(node.body, m), walk(node.guard, m))
         raise SyntaxViolation(f"unknown node {node!r}")
 
-    return walk(phi, dict(mapping))
+    try:
+        return walk(phi, dict(mapping))
+    finally:
+        del walk  # a self-referring closure would leave a cycle for the collector
 
 
 # ---------------------------------------------------------------------------

@@ -19,11 +19,13 @@ The stages, each independently testable:
 4. rewrite to clean form, where disjunction and existential quantification
    only ever apply to first-order parts, using the flattening of each
    subformula as a guard;
-5. recurse over the clean form, building a sentence about an internal
-   team symbol, case by case (first-order part / atom / conjunction /
-   universal / restriction);
-6. re-express the internal team symbol through R and the prefix
-   variables, and quantify the prefix.
+5. recurse over the clean form once, case by case (first-order part /
+   atom / conjunction / universal / restriction), building the sentence
+   about R directly, and quantify the prefix.  The recursion carries the
+   team literal, the formula saying that given terms form a row of the
+   current team: R's literal with the prefix pinned at the top, the
+   outer literal with the last argument dropped under a universal, and
+   the outer literal conjoined with the guard under a restriction.
 """
 
 from __future__ import annotations
@@ -65,7 +67,8 @@ from .syntax import (
     substitute_vars,
 )
 
-TEAM_SYMBOL = "_S"  # internal; never survives into the final sentence
+# the formula saying that argument terms form a row of the current team
+TeamLiteral = Callable[[tuple, bool], Formula]
 
 
 class TranslationError(Exception):
@@ -223,32 +226,7 @@ def _clean(phi: Formula) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# Relation-literal surgery
-
-
-def replace_relation(
-    phi: Formula,
-    name: str,
-    builder: Callable[[tuple, bool], Formula],
-    avoid: frozenset[str] = frozenset(),
-    fresh: FreshNames | None = None,
-) -> Formula:
-    """Replace every literal of relation `name` by builder(args, positive).
-
-    Builder output may mention variables listed in `avoid` free; binders in
-    `phi` with those names are renamed so they cannot capture them.
-    Replacements are not re-scanned."""
-    if fresh is None:
-        fresh = FreshNames(all_variable_names(phi) | set(avoid))
-
-    def replace(lit: RelLit) -> Formula:
-        return builder(lit.args, lit.positive) if lit.name == name else lit
-
-    return substitute_vars(phi, {}, fresh, lambda v, m: v in avoid, replace)
-
-
-# ---------------------------------------------------------------------------
-# Stage 5: sentence construction over the internal team symbol
+# Stage 5: the sentence
 
 
 def build_fo_sentence(
@@ -256,75 +234,100 @@ def build_fo_sentence(
     tuple_vars: tuple[str, ...],
     registry: AtomRegistry | None = None,
     fresh: FreshNames | None = None,
+    relation: str = "R",
+    prefix_vars: tuple[str, ...] = (),
 ) -> Formula:
-    """For clean `phi` with free variables among `tuple_vars`, build a
-    closed first-order sentence over the signature plus TEAM_SYMBOL
-    (arity len(tuple_vars)) such that a team X over tuple_vars satisfies
-    phi exactly when the sentence holds with TEAM_SYMBOL := X's rows.
+    """For clean `phi` with free variables among `tuple_vars` and
+    `prefix_vars`, build a first-order sentence over the signature plus
+    `relation` (arity len(tuple_vars)) such that a team X over tuple_vars
+    satisfies phi, with some constant column for each prefix variable,
+    exactly when the sentence holds with `relation` := X's rows.
 
-    Binders in `phi` must be distinct from tuple_vars and from each other
+    One recursion carries the team literal: a function from argument
+    terms (one per column: the team's, the prefix's, then one per
+    enclosing universal) and a sign to the formula saying that the terms
+    form a row of the current team.  At the top that is `relation` of the
+    team part /\\ prefix part = prefix variables; a universal drops its
+    column; a restriction conjoins its guard.  Each first-order part and
+    atom projection quantifies its own copy of the columns, the prefix
+    columns under fresh names so that the prefix variables stay free
+    there.
+
+    Binders in `phi` must be distinct from the columns and from each other
     along any path (see translate, which normalizes first)."""
     reg = registry or DEFAULT_REGISTRY
+    columns = tuple(tuple_vars) + tuple(prefix_vars)
     if fresh is None:
-        fresh = FreshNames(all_variable_names(phi) | set(tuple_vars))
+        fresh = FreshNames(all_variable_names(phi) | set(columns))
     if not is_clean(phi):
         raise TranslationError("sentence construction needs a clean formula")
-    missing = free_variables(phi) - set(tuple_vars)
+    missing = free_variables(phi) - set(columns)
     if missing:
         raise TranslationError(f"free variables {sorted(missing)} not in the team tuple")
+    n, k = len(tuple_vars), len(prefix_vars)
+    pinned = tuple(Var(v) for v in prefix_vars)
 
-    def team_lit(tup: tuple[str, ...]) -> Formula:
-        return RelLit(TEAM_SYMBOL, True, tuple(Var(v) for v in tup))
+    def top(args: tuple, positive: bool) -> Formula:
+        parts: list[Formula] = [RelLit(relation, True, args[:n])] if n else []
+        if k:
+            parts.append(eq_tuple(args[n:], pinned))
+        core = ands(parts)
+        return core if positive else negate_fo(core)
 
-    def build(node: Formula, tup: tuple[str, ...]) -> Formula:
+    def copy(tup: tuple[str, ...]) -> tuple[tuple[str, ...], dict[str, Var]]:
+        # the columns under their own names, the prefix's renamed
+        names = tup[:n] + fresh.fresh_many(k) + tup[n + k :]
+        return names, {v: Var(w) for v, w in zip(prefix_vars, names[n:])}
+
+    def build(node: Formula, tup: tuple[str, ...], team: TeamLiteral) -> Formula:
         if is_first_order(node):
             # every team row satisfies the first-order part
+            names, renamed = copy(tup)
+            row = tuple(Var(v) for v in names)
             return forall_chain(
-                tup, Or(RelLit(TEAM_SYMBOL, False, tuple(Var(v) for v in tup)), node)
+                names, Or(team(row, False), substitute_vars(node, renamed, fresh))
             )
         if isinstance(node, DepAtom):
             d = reg.resolve_atom(node)
             if d.fo_definition is None:
                 raise TranslationError(f"atom {node.name} has no first-order definition")
-            zs = node.args
 
-            def atom_builder(args: tuple, positive: bool, zs=zs, tup=tup) -> Formula:
-                # args belongs to the atom definition's projected relation:
-                # it holds iff some team row projects onto it
-                core = exists_chain(
-                    tup,
-                    ands([eq_tuple(args, tuple(Var(z) for z in zs)), team_lit(tup)]),
-                )
-                return core if positive else negate_fo(core)
+            def project(lit: RelLit) -> Formula:
+                if lit.name != ATOM_REL:
+                    return lit
+                # the definition's relation holds of the arguments iff
+                # some team row projects onto them
+                names, renamed = copy(tup)
+                zs = tuple(renamed.get(z, Var(z)) for z in node.args)
+                row = tuple(Var(v) for v in names)
+                core = exists_chain(names, ands([eq_tuple(lit.args, zs), team(row, True)]))
+                return core if lit.positive else negate_fo(core)
 
-            return replace_relation(d.fo_definition, ATOM_REL, atom_builder, frozenset(), fresh)
+            return substitute_vars(d.fo_definition, {}, fresh, literal=project)
         if isinstance(node, And):
-            return And(build(node.left, tup), build(node.right, tup))
+            return And(build(node.left, tup, team), build(node.right, tup, team))
         if isinstance(node, Forall):
             if node.var in tup:
                 raise TranslationError(
                     f"binder {node.var} collides with the team tuple (normalize first)"
                 )
-            inner = build(node.body, tup + (node.var,))
-
-            def drop_last(args: tuple, positive: bool) -> Formula:
-                return RelLit(TEAM_SYMBOL, positive, args[:-1])
-
-            return replace_relation(inner, TEAM_SYMBOL, drop_last, frozenset(), fresh)
+            return build(
+                node.body, tup + (node.var,), lambda args, positive: team(args[:-1], positive)
+            )
         if isinstance(node, RestrictedBy):
-            inner = build(node.body, tup)
             guard = node.guard
 
-            def filter_guard(args: tuple, positive: bool, guard=guard, tup=tup) -> Formula:
-                mapping = dict(zip(tup, args))
-                shifted = substitute_vars(guard, mapping, fresh)
-                kept = And(RelLit(TEAM_SYMBOL, True, args), shifted)
-                return kept if positive else negate_fo(kept)
+            def kept(args: tuple, positive: bool) -> Formula:
+                row = And(team(args, True), substitute_vars(guard, dict(zip(tup, args)), fresh))
+                return row if positive else negate_fo(row)
 
-            return replace_relation(inner, TEAM_SYMBOL, filter_guard, frozenset(), fresh)
+            return build(node.body, tup, kept)
         raise TranslationError(f"not a clean node: {node!r}")
 
-    return build(phi, tuple_vars)
+    try:
+        return exists_chain(prefix_vars, build(phi, columns, top))
+    finally:
+        del build  # a self-referring closure would leave a cycle for the collector
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +350,7 @@ def _distinct_binders(
 
 
 # ---------------------------------------------------------------------------
-# Stage 6 + the pipeline
+# The pipeline
 
 
 def _pick_relation_name(phi: Formula) -> str:
@@ -409,39 +412,16 @@ def translate(
     step = desugar_possibility(step, fresh)
     step, prefix_vars = eliminate_constancy(step, fresh)
     clean = to_clean(step, reg)
-    full_tuple = tuple_vars + prefix_vars
-    clean = _distinct_binders(clean, full_tuple, fresh)
-
-    sentence = build_fo_sentence(clean, full_tuple, reg, fresh)
+    clean = _distinct_binders(clean, tuple_vars + prefix_vars, fresh)
 
     relation = _pick_relation_name(phi)
-    n = len(tuple_vars)
-    prefix_terms = tuple(Var(v) for v in prefix_vars)
-
-    def final_builder(args: tuple, positive: bool) -> Formula:
-        team_part, prefix_part = args[:n], args[n:]
-        parts: list[Formula] = []
-        if n:
-            parts.append(RelLit(relation, True, team_part))
-        if prefix_part:
-            parts.append(eq_tuple(prefix_part, prefix_terms))
-        core = ands(parts)
-        return core if positive else negate_fo(core)
-
-    sentence = replace_relation(
-        sentence, TEAM_SYMBOL, final_builder, frozenset(prefix_vars), fresh
-    )
-    sentence = exists_chain(prefix_vars, sentence)
+    sentence = build_fo_sentence(clean, tuple_vars, reg, fresh, relation, prefix_vars)
     if simplify_output:
         sentence = simplify(sentence)
 
-    sig = formula_signature(sentence)
-    if TEAM_SYMBOL in sig:
-        raise TranslationError("internal team symbol leaked into the output")
-
     return TranslationResult(
         sentence=sentence,
-        relation=relation if n else "",
+        relation=relation if tuple_vars else "",
         tuple_vars=tuple_vars,
         prefix_vars=tuple(prefix_vars),
         clean_formula=clean,

@@ -1,5 +1,6 @@
 """The compilation pipeline from team formulas to first-order sentences."""
 
+import gc
 import itertools
 import json
 import pathlib
@@ -7,15 +8,18 @@ import pathlib
 import pytest
 
 from teamsem import Model, Relation, Team, evaluate, parse, pretty, translate
-from teamsem.model import tarski_eval, team_project
+from teamsem.harness import GridConfig, check_translation_equivalence
+from teamsem.model import compile_fo, tarski_eval, team_project
 from teamsem.syntax import (
     DepAtom,
     Possibly,
     RestrictedBy,
+    Var,
     free_variables,
     is_clean,
     is_first_order,
     subformulas,
+    substitute_vars,
 )
 from teamsem.translator import (
     FreshNames,
@@ -227,6 +231,32 @@ def test_translate_sentence_nullary_convention(m2):
     assert not tarski_eval(m2, {}, no.sentence)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "poss(P(x))",
+        "poss(poss(P(x)))",
+        "poss(const(x) /\\ NE)",
+        "restrict(NE /\\ const(y) ; P(x))",
+        "restrict(inconst(x) ; E z. (P(z) /\\ z != x))",
+        "A y. restrict(nondep(x; y) ; x != y)",
+        "E y. (const(y) /\\ poss(inconst(x)))",
+        "nonincl(x; y)",
+        "noncindep(x; y | z)",
+    ],
+)
+def test_translate_agrees_on_constructs_the_corpus_lacks(text):
+    # nested possibility, restriction under a universal, constancy over
+    # possibility and the definable negative atoms: the translation
+    # sweep's corpus builds none of them
+    phi = parse(text)
+    rep = check_translation_equivalence(
+        phi, tuple(sorted(free_variables(phi))), GridConfig(doms=(2,), max_rows=2)
+    )
+    assert rep.ok
+    assert rep.checked > 0
+
+
 @pytest.mark.parametrize("text", ["dep(x; y)", "incl(x; y)", "excl(x; y)", "indep(x; y)", "cindep(x; y | x)"])
 def test_translate_rejects_non_upward_atoms(text):
     with pytest.raises(TranslationError) as exc:
@@ -271,6 +301,25 @@ def test_simplify_preserves_equivalence():
             assert tarski_eval(probe, {}, plain.sentence) == tarski_eval(
                 probe, {}, slim.sentence
             )
+
+
+def test_compiling_substituting_and_translating_leave_no_cycles(m2):
+    # recursive walks must not leave work for the cycle collector
+    calls = [
+        lambda: compile_fo(m2, parse("A x. E y. x = y \\/ x != y"), ()),
+        lambda: substitute_vars(
+            parse("A y. P(x) /\\ (E x. x = y)"), {"x": Var("y")}, FreshNames({"x", "y"})
+        ),
+        lambda: translate(parse("poss(P(x))"), ("x",)),
+    ]
+    gc.disable()
+    try:
+        gc.collect()
+        for call in calls:
+            call()
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # --- golden outputs ---------------------------------------------------------------------
