@@ -67,10 +67,6 @@ from .syntax import (
     substitute_vars,
 )
 
-# the formula saying that argument terms form a row of the current team
-TeamLiteral = Callable[[tuple, bool], Formula]
-
-
 class TranslationError(Exception):
     pass
 
@@ -274,16 +270,18 @@ def build_fo_sentence(
         core = ands(parts)
         return core if positive else negate_fo(core)
 
-    def copy(tup: tuple[str, ...]) -> tuple[tuple[str, ...], dict[str, Var]]:
-        # the columns under their own names, the prefix's renamed
+    def copy(tup: tuple[str, ...]) -> tuple[tuple[str, ...], tuple, dict[str, Var]]:
+        # the columns under their own names, the prefix's under fresh ones
         names = tup[:n] + fresh.fresh_many(k) + tup[n + k :]
-        return names, {v: Var(w) for v, w in zip(prefix_vars, names[n:])}
+        row = tuple(Var(v) for v in names)
+        return names, row, dict(zip(prefix_vars, row[n:]))
 
-    def build(node: Formula, tup: tuple[str, ...], team: TeamLiteral) -> Formula:
+    def build(
+        node: Formula, tup: tuple[str, ...], team: Callable[[tuple, bool], Formula]
+    ) -> Formula:
         if is_first_order(node):
             # every team row satisfies the first-order part
-            names, renamed = copy(tup)
-            row = tuple(Var(v) for v in names)
+            names, row, renamed = copy(tup)
             return forall_chain(
                 names, Or(team(row, False), substitute_vars(node, renamed, fresh))
             )
@@ -297,9 +295,8 @@ def build_fo_sentence(
                     return lit
                 # the definition's relation holds of the arguments iff
                 # some team row projects onto them
-                names, renamed = copy(tup)
+                names, row, renamed = copy(tup)
                 zs = tuple(renamed.get(z, Var(z)) for z in node.args)
-                row = tuple(Var(v) for v in names)
                 core = exists_chain(names, ands([eq_tuple(lit.args, zs), team(row, True)]))
                 return core if lit.positive else negate_fo(core)
 
