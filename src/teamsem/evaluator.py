@@ -22,8 +22,10 @@ counterexample), even though constancy is harmless in other pipelines.
 Inside an `Evaluator` a team is `(vars, mask)`: each row gets the next
 free bit when the evaluator first meets it, so a mask is as wide as the
 rows seen so far, not |dom|^|vars|; searches walk the set bits in sorted-row
-order.  `Team`s are built only for `evaluate`, `witness`, dependency atoms
-and naive mode's choice functions.
+order, while restriction and duplication images are unions taken in bit
+order.  No `Team` is built past `evaluate` and `witness`: a dependency atom
+runs its direct evaluator on the rows of its projected mask, once per
+projection, and naive mode's choice functions are unions of row images.
 
 Each node is compiled on first use, once per `(node, vars)`, into a
 function of masks that reads and fills the memo, keeps the counters and
@@ -36,11 +38,12 @@ tables over more than `SPLIT_ROWS_LIMIT` rows is an `EvalError`.
 
 from __future__ import annotations
 
+import itertools
 import weakref
 from dataclasses import asdict, dataclass
 from typing import Callable, Iterator
 
-from .atoms import AtomRegistry, DEFAULT_REGISTRY, eval_atom
+from .atoms import AtomRegistry, DEFAULT_REGISTRY, eval_atom  # noqa: F401  (bench/tracer.py patches it by name)
 from .model import (
     EvalError,
     Model,
@@ -49,11 +52,11 @@ from .model import (
     Team,
     compile_fo,
     cover_parts,
-    duplicate,  # noqa: F401  (bench/tracer.py patches these four by name)
-    enumerate_choice_functions,
+    duplicate,  # noqa: F401  (bench/tracer.py patches these six by name)
+    enumerate_choice_functions,  # noqa: F401
     enumerate_covers,  # noqa: F401
     subsets,
-    supplement,
+    supplement,  # noqa: F401
     tarski_eval,  # noqa: F401
     team_project,
     team_restrict,  # noqa: F401
@@ -177,7 +180,7 @@ class Evaluator:
     One instance per (model, strategy); memoization is keyed by subformula
     identity and team, so sweeping many teams against one formula reuses
     work.  The memo stops growing at `MEMO_LIMIT` entries, and so does each
-    table of team images.
+    table of team images or of atom verdicts.
     """
 
     def __init__(
@@ -278,14 +281,17 @@ class Evaluator:
     def _image(self, key: tuple, image: Callable[[Row], int]) -> Callable[[int], int]:
         """The map from a mask to the union of `image(row)` over its rows,
         kept once per `key`; it caches whole masks, and a row's image
-        under the row's own bit."""
+        under the row's own bit.  A union does not depend on order, so the
+        rows are taken in bit order, unsorted."""
         me, table = self._me, {}
 
         def apply(mask: int) -> int:
             out = table.get(mask)
             if out is None:
-                out = 0
-                for b in me._bits(mask):
+                out, rest = 0, mask
+                while rest:
+                    b = rest & -rest
+                    rest ^= b
                     one = table.get(b)
                     if one is None:
                         one = image(me._row_of[b])
@@ -376,7 +382,19 @@ class Evaluator:
             satisfying = self._satisfying(node, vars)
             return lambda mask: all(satisfying(b) for b in me._bits(mask))
         if isinstance(node, DepAtom):
-            return lambda mask: eval_atom(me.model, Team(vars, frozenset(me._rows(mask))), node, me.registry)
+            # the direct evaluator on the projection, decided once per projection
+            direct, project, verdicts = self.registry.resolve_atom(node).direct, self._restrict(vars, node.args), {}
+
+            def atom(mask: int) -> bool:
+                rel = project(mask)
+                out = verdicts.get(rel)
+                if out is None:
+                    out = direct(me.model, frozenset(me._rows(rel)))
+                    if len(verdicts) < MEMO_LIMIT:
+                        verdicts[rel] = out
+                return out
+
+            return atom
         if isinstance(node, And):
             left, right = self._at(node.left, vars), self._at(node.right, vars)
             return lambda mask: left(mask) and right(mask)
@@ -463,12 +481,22 @@ class Evaluator:
         body_vars, duplicated = self._assign(vars, node.var, self.model.domain)
         body = self._at(node.body, body_vars)
         if self.mode == "naive":
+            # X[S/var] for each nonempty value set S, in the order of
+            # `enumerate_choice_functions`: a bitmask over the sorted domain
+            domain = sorted(self.model.domain)
+            images = [
+                self._assign(vars, node.var, [m for k, m in enumerate(domain) if s >> k & 1])[1]
+                for s in range(1, 1 << len(domain))
+            ]
 
             def choices(mask: int) -> bool:
-                team = Team(vars, frozenset(me._rows(mask)))
-                for choice in enumerate_choice_functions(team, me.model, 1):
+                # a choice function picks one image per row, rows in sorted order
+                for pick in itertools.product(*([image(b) for image in images] for b in me._bits(mask))):
                     me.stats.choices += 1
-                    if body(me._mask(supplement(team, choice, (node.var,)).rows)):
+                    sub = 0
+                    for one in pick:
+                        sub |= one
+                    if body(sub):
                         return True
                 return False
 
@@ -508,6 +536,13 @@ class Evaluator:
         return lambda mask, sub: not of_team(mask) & ~of_sub(sub)
 
     def _exists_by_subsets(self, node: Exists, vars: tuple[str, ...]) -> Callable[[int], bool]:
+        """Search the subteams of a duplicated team that keep a row of every
+        original assignment, in ascending local mask (bit k: the k-th row in
+        sorted order), for one that satisfies the body; each mask passed over
+        counts in `stats.subsets`.  A mask `local` that misses a group of
+        rows with lowest bit `low` jumps to `(local | low) & ~(low - 1)`:
+        each mask in between shares its bits above `low` and lacks `low`, so
+        it misses the group too."""
         me, body = self._me, self._at(node.body, vars)
         origin = self._restrict(vars, tuple(v for v in vars if v != node.var))
 
@@ -518,12 +553,27 @@ class Evaluator:
             for k, b in enumerate(bits):
                 row = origin(b)
                 groups[row] = groups.get(row, 0) | 1 << k
-            for local, sub in enumerate(_subteam_masks(bits)):
-                me.stats.subsets += 1
-                if any(not local & g for g in groups.values()):
+            # the group with the highest lowest bit first: it gives the largest jump
+            lows = sorted(((g & -g, g) for g in groups.values()), reverse=True)
+            stats, local, end = me.stats, 0, 1 << len(bits)
+            while local < end:
+                for low, g in lows:
+                    if not local & g:
+                        break
+                else:
+                    stats.subsets += 1
+                    sub, rest = 0, local
+                    while rest:
+                        b = rest & -rest
+                        rest ^= b
+                        sub |= bits[b.bit_length() - 1]
+                    if body(sub):
+                        return True
+                    local += 1
                     continue
-                if body(sub):
-                    return True
+                jump = (local | low) & ~(low - 1)
+                stats.subsets += jump - local
+                local = jump
             return False
 
         return search

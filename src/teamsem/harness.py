@@ -404,7 +404,10 @@ def eval_cost_estimate(
             return min(cap, branches * (n + go(node.body, n)))
         raise HarnessError(f"cannot estimate {node!r}")
 
-    return go(phi, n_rows)
+    try:
+        return go(phi, n_rows)
+    finally:
+        del go  # a self-referring closure would leave a cycle for the collector
 
 
 DEFAULT_COST_BUDGET = 2e6

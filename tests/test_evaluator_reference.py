@@ -11,8 +11,10 @@ import pytest
 
 import evaluator_reference
 from teamsem import Model, Relation, Team, evaluator, parse
+from teamsem.atoms import AtomRegistry
 from teamsem.evaluator import Evaluator, MODES
 from teamsem.model import EvalError
+from teamsem.syntax import desugar_possibility
 
 VARS = ("x", "y", "z")
 M2 = Model(("a", "b"), {"P": Relation(1, frozenset({("a",)}))}, {})
@@ -66,11 +68,12 @@ def _cases(draw):
     return model, Team(VARS, frozenset(rows))
 
 
-def assert_matches_reference(model, phi, teams, mode):
+def assert_matches_reference(model, phi, teams, mode, registry=None):
     """Evaluate `phi` on each team in turn with one evaluator per side, so
     that memo reuse across calls is compared too; then ask both for the
     witness on the last team."""
-    new, ref = Evaluator(model, mode=mode), evaluator_reference.Evaluator(model, mode=mode)
+    new = Evaluator(model, registry, mode)
+    ref = evaluator_reference.Evaluator(model, registry, mode)
     for team in teams:
         got = new.evaluate_with_stats(phi, team)
         assert got == ref.evaluate_with_stats(phi, team), (str(phi), sorted(team.rows), mode)
@@ -129,6 +132,61 @@ def test_a_full_memo_matches_the_reference_under_the_same_limit(mode, monkeypatc
     rows = sorted(itertools.product(M2.domain, repeat=3))[1:4]
     teams = [Team(VARS, frozenset(c)) for k in range(4) for c in itertools.combinations(rows, k)]
     assert_matches_reference(M2, phi, teams, mode)
+
+
+@pytest.mark.parametrize(
+    "phi, modes",
+    [
+        # oracle mode duplicates this one three times over, to 27 rows
+        (desugar_possibility(parse("poss(P(x) /\\ incl(y; x))")), ("fast",)),
+        (parse("E z. (incl(z; x) /\\ nonexcl(y; z))"), ("oracle", "fast")),
+    ],
+    ids=["desugared-poss", "exists"],
+)
+def test_covering_jumps_over_nine_duplicated_rows(phi, modes):
+    # three rows duplicated over three elements: 512 local masks, of which
+    # most miss some row, so the search jumps far between covering masks
+    rows = sorted(itertools.product(M3.domain, repeat=2))
+    teams = [Team(("x", "y"), frozenset(c)) for c in itertools.combinations(rows, 3)]
+    for mode in modes:
+        assert_matches_reference(M3, phi, teams, mode)
+
+
+@pytest.fixture(scope="module")
+def pairs():
+    """A registry with `pair`, a custom atom of width 2: some row differs in its two columns."""
+    registry = AtomRegistry()
+    registry.register_custom("pair", 2, parse("E u. E v. (R(u, v) /\\ u != v)"), upwards_closed=True, bound=1)
+    return registry
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize(
+    "text",
+    [
+        "dep(x, y; z) \\/ incl(x, y; y, x)",
+        "E z. (dep(x, y; z) /\\ incl(x, z; y, x))",
+        "A z. (incl(x, y; y, x) \\/ dep(x, y; z))",
+        "poss(dep(x, x; z) /\\ NE)",
+        "pair(x, y) \\/ pair(y, y)",
+        "E z. (pair(x, z) /\\ dep(y; z))",
+    ],
+)
+def test_atoms_with_wide_groups_and_custom_atoms_match_the_reference(text, mode, pairs):
+    rows = sorted(itertools.product(M2.domain, repeat=3))
+    teams = [Team(VARS, frozenset(c)) for k in range(4) for c in itertools.combinations(rows, k)][::5]
+    assert_matches_reference(M2, parse(text, atom_names=pairs.known_names()), teams, mode, pairs)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_full_atom_verdict_table_matches_the_reference(mode, monkeypatch, pairs):
+    # more projections than the table holds, each met more than once
+    monkeypatch.setattr(evaluator, "MEMO_LIMIT", 3)
+    monkeypatch.setattr(evaluator_reference, "MEMO_LIMIT", 3)
+    phi = parse("(dep(x; y) /\\ incl(x, y; y, x)) \\/ pair(x, y)", atom_names=pairs.known_names())
+    rows = sorted(itertools.product(M2.domain, repeat=3))[:5]
+    teams = [Team(VARS, frozenset(c)) for k in range(4) for c in itertools.combinations(rows, k)]
+    assert_matches_reference(M2, phi, teams + teams, mode, pairs)
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Grid enumeration, formula generation, and the equivalence checkers."""
 
+import gc
 import json
 import os
 
@@ -164,6 +165,18 @@ def test_cost_estimate_mode_sensitivity():
     assert eval_cost_estimate(phi, 2, 3, mode="fast") <= eval_cost_estimate(
         phi, 2, 3, mode="naive"
     )
+
+
+def test_cost_estimate_leaves_no_cycles():
+    # its recursive walk must not leave work for the cycle collector
+    phi = parse("poss(dep(x; y) /\\ NE)")
+    gc.disable()
+    try:
+        gc.collect()
+        eval_cost_estimate(phi, 2, 3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # --- pairwise equivalence checking -------------------------------------------------------
