@@ -1,6 +1,7 @@
 """Grid enumeration, formula generation, and the equivalence checkers."""
 
 import gc
+import hashlib
 import json
 import os
 
@@ -283,11 +284,65 @@ def test_reports_are_byte_deterministic():
     assert render() == render()
 
 
-def test_reports_invariant_under_jobs():
-    kw = dict(grid=MICRO, signature={}, vars=("x",), verbose=True)
-    a = check_formula_equivalence(parse("NE"), parse("NE /\\ T"), **kw, jobs=1)
-    b = check_formula_equivalence(parse("NE"), parse("NE /\\ T"), **kw, jobs=2)
-    assert list(a.json_lines()) == list(b.json_lines())
+PIN_GRID = GridConfig((2, 3), 2)
+
+# Each one-formula check with the sha256 of its summary line and of its
+# verbose stream: a pass, a mismatch, a budget that skips the 3-element
+# models only, a corrupted sentence, and the skipped empty team of a
+# sentence over the empty tuple.
+ONE_FORMULA_CHECKS = {
+    "equivalence": (
+        lambda **kw: check_formula_equivalence(
+            parse("NE"), parse("NE /\\ T"), PIN_GRID, signature={"P": 1}, vars=("x",), **kw
+        ),
+        "4c4cfd551245d7642e31287efe7c5fe7aaf13965721de8dc591370818da20763",
+        "757963f891fad1a3a27d24d4576d7638319dbe8ca42db287d80c4d43b05efbe7",
+    ),
+    "equivalence-mismatch": (
+        lambda **kw: check_formula_equivalence(parse("P(x)"), parse("T"), PIN_GRID, **kw),
+        "4e388306e9497f5c7c610eb8fc806abf3db5600928788342b7fa6a12cbd02e1f",
+        "9d6dd42352261a17428128d293394afd7b9d888bcb068c1323710db34edcdf47",
+    ),
+    "equivalence-budget-skip": (
+        lambda **kw: check_formula_equivalence(
+            parse("E x. E y. NE"), parse("E x. E y. NE"), PIN_GRID,
+            signature={}, vars=("x",), mode="naive", budget=1e5, **kw,
+        ),
+        "94e22aa7357f455e2a9a466612eea68da8069c50a2b9a30540ada0c0df90d354",
+        "6b95fd69b0431d6539b2a3afc77f52bb5b2100cd16e8a5caeb6c328b657667a3",
+    ),
+    "translation": (
+        lambda **kw: check_translation_equivalence(parse("P(x) \\/ NE"), ("x",), PIN_GRID, **kw),
+        "3590e85c3768920cfa4d0367f4c883ea9978303f6b51562911dc707b29ddb200",
+        "2f433bc8d49ab668c4e74ebe2826ce2ff88bcfd9b72bc12861881cfd4f32b34a",
+    ),
+    "translation-corrupted": (
+        lambda **kw: check_translation_equivalence(
+            parse("NE"), ("x",), PIN_GRID, signature={}, sentence=parse("F"), relation="R", **kw
+        ),
+        "34edbc5fed4c75aa3773fd5ef9bb1e32c918f6b425eb453e1e78da85e6a9eed2",
+        "cd8cf4b8605f9a27bd05196ba03bc04f18282689f338f3f09c5ba07d4e9e801a",
+    ),
+    "translation-empty-tuple": (
+        lambda **kw: check_translation_equivalence(
+            parse("E y. NE"), (), PIN_GRID, signature={}, budget=1.0, **kw
+        ),
+        "4c032fe80d3f191fb28c9662f18d0307a09c6de5cfa91e55216029946eb3ec75",
+        "d55599b25142d2380d3a7206461d7634166be69aa07358f38e67617732b59372",
+    ),
+}
+
+
+def _sha256(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(ONE_FORMULA_CHECKS))
+def test_reports_invariant_under_jobs(case):
+    run, summary_sha256, verbose_sha256 = ONE_FORMULA_CHECKS[case]
+    for jobs in (1, 2):
+        assert _sha256(run(jobs=jobs).json_lines()) == summary_sha256
+        assert _sha256(run(jobs=jobs, verbose=True).json_lines(verbose=True)) == verbose_sha256
 
 
 def test_jobs_are_capped_at_the_cpu_count(monkeypatch):

@@ -88,3 +88,30 @@ def test_suite_reports_match_golden(name, jobs):
     assert got["verbose_sha256"] == golden["verbose_sha256"]
     assert got["lying_sha256"] == golden["lying_sha256"]
     assert got["lying_mismatches"] == golden["lying_mismatches"] > 0
+
+
+# `sweeps_micro.json` has two-element models only.  At this grid the
+# locality and isomorphism suites cap teams on three-element models at two
+# rows (`Tier.wide_rows`) and keep three rows on two-element ones.
+WIDE_GRID = GridConfig((2, 3), 3, max_depth=1, max_vars=1)
+
+
+WIDE_PINS = {
+    "locality": (
+        [("oracle", 10776, 0), ("naive", 1168, 0)],
+        "ec6a607fb6c04c85f6f9b9f26ae89672779c6b293d26a9252cb27ac18b01a0da",
+    ),
+    "isomorphism": (
+        [("fast", 2928, 0)],
+        "1afed77144a05da79efc0adc4cfee1d6e28b61b62124fb7c96d99e8e174b6e96",
+    ),
+}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("name", sorted(WIDE_PINS))
+def test_wide_rows_cap_teams_on_three_element_models(name, jobs):
+    counts, summary_sha256 = WIDE_PINS[name]
+    reports = run_suite(name, grid=WIDE_GRID, jobs=jobs)
+    assert [(r.params["tier"], r.checked, r.skipped) for r in reports] == counts
+    assert _sha256(line for r in reports for line in r.json_lines()) == summary_sha256
