@@ -8,11 +8,14 @@ and each `Tier` is one report with its own mode (or pair of modes),
 grid, cost budget and item filter.  The seven comparisons
 (`_equivalence`, `_translation`, `_flatness`, `_locality`, `_upflat`,
 `_isomorphism`, `_height`) only say how to evaluate the teams of one
-(item, model) pair and what the verdicts are.  One runner,
-`_sweep`, owns the rest: the cost-budget gate, the checked and skipped
-counts, the mismatch and verbose records, the merge and the worker pool.
-`check_formula_equivalence` and `check_translation_equivalence` are
-one-tier calls into the same runner.
+(item, model) pair and what the verdicts are; the last five share one
+prologue, `_one_formula`.  One runner, `_sweep`, owns the rest: it builds
+the report, enumerates the grid models, caps the team rows (tighter on
+models of three or more elements when a tier asks), applies the
+cost-budget gate, keeps the checked and skipped counts and the mismatch
+and verbose records, and runs the tasks on the worker pool, merging them
+in task order.  `run_suite` calls it once per tier, and
+`check_formula_equivalence` and `check_translation_equivalence` once each.
 
 Tiers keep the evidence independent.  The broad tier walks the whole
 grid with the fast evaluator; the independence tiers re-run a reduced
@@ -49,7 +52,7 @@ from .model import (
     compile_fo,
     letters,
     subsets,
-    team_project,
+    team_project,  # noqa: F401  (bench/tracer.py patches it by name)
     team_restrict,
 )
 from .syntax import (
@@ -469,10 +472,6 @@ def _free(phi: Formula) -> tuple[str, ...]:
     return tuple(sorted(free_variables(phi)))
 
 
-def _fv_tuple(phi: Formula) -> tuple[str, ...]:
-    return _free(phi) or ("x",)
-
-
 # ---------------------------------------------------------------------------
 # Comparisons
 #
@@ -480,7 +479,10 @@ def _fv_tuple(phi: Formula) -> tuple[str, ...]:
 # row cap, its pair of modes and the atom registry.  It is a generator: the
 # first yield lists the (formula, mode) pairs it evaluates, and the runner
 # stops it there when the cost estimate of a side not in `fast` mode is over
-# budget.  Every later yield is a Point.
+# budget.  Every later yield is a Point.  The five one-formula comparisons
+# are `check(phi, xs, ev, model, rows)` under the adapter `_one_formula`,
+# which yields their one side, `phi` in the first mode, and builds `ev` on
+# that mode and the registry; `xs` is the free variables of `phi`.
 
 class Point(NamedTuple):
     """What one comparison step adds to its report.  `record` holds the
@@ -517,7 +519,8 @@ def _equivalence(item, model, rows, modes, registry):
 
 def _translation(item, model, rows, modes, registry):
     """Team satisfaction of a formula agrees with ordinary satisfaction of
-    its compiled sentence, the team relation set to the team's projection."""
+    its compiled sentence, the team relation set to the team's projection:
+    its rows, as the teams range over the distinct tuple variables."""
     phi, tuple_vars, sentence, relation = item
     mode = modes[0]
     yield [(phi, mode)]
@@ -539,42 +542,46 @@ def _translation(item, model, rows, modes, registry):
         yield Point(checked=0, skipped=1)
     for team in teams:
         a = ev.evaluate(phi, team)
-        b = compiled([], {relation: team_project(team, tuple_vars)} if tuple_vars else {})
+        b = compiled([], {relation: team.rows} if tuple_vars else {})
         yield _pair(model, team, {"team_eval": a, "tarski": b}, extra)
 
 
-def _flatness(phi, model, rows, modes, registry):
-    mode = modes[0]
-    yield [(phi, mode)]
-    xs = _free(phi)
-    ev = Evaluator(model, registry=registry, mode=mode)
+def _one_formula(check: Callable) -> Callable:
+    """The comparison whose one side is `phi` in the first mode, checked
+    by `check` with an evaluator `ev` on that mode."""
+
+    @functools.wraps(check)
+    def compare(phi, model, rows, modes, registry):
+        yield [(phi, modes[0])]
+        ev = Evaluator(model, registry=registry, mode=modes[0])
+        yield from check(phi, _free(phi), ev, model, rows)
+
+    return compare
+
+
+@_one_formula
+def _flatness(phi, xs, ev, model, rows):
     compiled = compile_fo(model, phi, xs)
-    extra = {"formula": phi, "mode": mode}
+    extra = {"formula": phi, "mode": ev.mode}
     for team in enumerate_teams(model, xs, rows):
         a = ev.evaluate(phi, team)
         b = all(compiled(row) for row in team.sorted_rows)
         yield _pair(model, team, {"team_eval": a, "pointwise": b}, extra)
 
 
-def _locality(phi, model, rows, modes, registry):
-    mode = modes[0]
-    yield [(phi, mode)]
-    xs = _free(phi)
+@_one_formula
+def _locality(phi, xs, ev, model, rows):
     dropped = next(v for v in ("z", "w", "u", "t", "s") if v not in xs)
-    ev = Evaluator(model, registry=registry, mode=mode)
-    extra = {"formula": phi, "dropped": dropped, "mode": mode}
+    extra = {"formula": phi, "dropped": dropped, "mode": ev.mode}
     for team in enumerate_teams(model, xs + (dropped,), rows):
         a = ev.evaluate(phi, team)
         b = ev.evaluate(phi, team_restrict(team, xs))
         yield _pair(model, team, {"padded": a, "restricted": b}, extra)
 
 
-def _upflat(phi, model, rows, modes, registry):
+@_one_formula
+def _upflat(phi, xs, ev, model, rows):
     """A team accounts for itself and its 2^rows subteams."""
-    mode = modes[0]
-    yield [(phi, mode)]
-    xs = _free(phi)
-    ev = Evaluator(model, registry=registry, mode=mode)
     compiled = compile_fo(model, flatten(phi), xs)
     for big_team in enumerate_teams(model, xs, rows):
         team_rows = sorted(big_team.rows)
@@ -582,7 +589,7 @@ def _upflat(phi, model, rows, modes, registry):
         big_sat = ev.evaluate(phi, big_team)
         verdicts = {"satisfied": big_sat, "flattening_pointwise": flat_ok}
         if big_sat and not flat_ok:
-            extra = {"formula": phi, "kind": "flattening-implication", "mode": mode}
+            extra = {"formula": phi, "kind": "flattening-implication", "mode": ev.mode}
             yield Point(checked=0, mismatch=_point(model, big_team, verdicts, extra))
         # closure: every satisfying subteam of a pointwise-flat superteam
         # forces the superteam.  When the superteam already satisfies (or
@@ -597,46 +604,40 @@ def _upflat(phi, model, rows, modes, registry):
                         "formula": phi,
                         "subteam": json.loads(sub.to_json()),
                         "kind": "upward-flat-closure",
-                        "mode": mode,
+                        "mode": ev.mode,
                     }
                     closure = {"subteam_satisfied": True, **verdicts}
                     yield Point(checked=0, mismatch=_point(model, big_team, closure, extra))
-        extra = {"formula": phi, "subteams": n_subteams, "mode": mode}
+        extra = {"formula": phi, "subteams": n_subteams, "mode": ev.mode}
         yield Point(checked=1 + n_subteams, record=(model, big_team, verdicts, extra))
 
 
-def _isomorphism(phi, model, rows, modes, registry):
+@_one_formula
+def _isomorphism(phi, xs, ev, model, rows):
     """One point per team and nontrivial renaming."""
-    mode = modes[0]
-    yield [(phi, mode)]
-    xs = _free(phi)
-    base = Evaluator(model, registry=registry, mode=mode)
     others = []
     for perm in itertools.permutations(model.domain):
         mapping = dict(zip(model.domain, perm))
         if all(k == v for k, v in mapping.items()):
             continue
-        renamed = Evaluator(permute_model(model, mapping), registry=registry, mode=mode)
-        extra = {"formula": phi, "renaming": dict(sorted(mapping.items())), "mode": mode}
+        renamed = Evaluator(permute_model(model, mapping), registry=ev.registry, mode=ev.mode)
+        extra = {"formula": phi, "renaming": dict(sorted(mapping.items())), "mode": ev.mode}
         others.append((mapping, renamed, extra))
     for team in enumerate_teams(model, xs, rows):
-        a = base.evaluate(phi, team)
-        for mapping, ev, extra in others:
-            b = ev.evaluate(phi, permute_team(team, mapping))
+        a = ev.evaluate(phi, team)
+        for mapping, renamed, extra in others:
+            b = renamed.evaluate(phi, permute_team(team, mapping))
             yield _pair(model, team, {"original": a, "renamed": b}, extra)
 
 
-def _height(phi, model, rows, modes, registry):
+@_one_formula
+def _height(phi, xs, ev, model, rows):
     """One point per satisfying team."""
-    mode = modes[0]
-    yield [(phi, mode)]
-    xs = _free(phi)
-    ev = Evaluator(model, registry=registry, mode=mode)
     for team in enumerate_teams(model, xs, rows):
         if not ev.evaluate(phi, team):
             continue
         try:
-            witness = find_small_witness(model, team, phi, registry=registry, evaluator=ev)
+            witness = find_small_witness(model, team, phi, registry=ev.registry, evaluator=ev)
         except InvariantBreach as breach:
             yield Point(mismatch=dict(breach.repro, kind="height-witness"))
             continue
@@ -677,22 +678,31 @@ def _map(tasks: list[Callable[[], tuple]], jobs: int) -> list[tuple]:
 
 
 def _sweep(
-    report: Report,
+    name: str,
+    params: dict,
     compare: Callable,
-    tasks: list[tuple],
+    items: Sequence,
+    signature: Mapping[str, int],
+    grid: GridConfig,
     mode: str | Sequence[str],
     budget: float | None,
     registry: AtomRegistry | None,
     jobs: int,
     verbose: bool,
+    wide_rows: int | None = None,
 ) -> Report:
-    """Run `compare` on every (item, model, rows) task and add the counts
-    and records to `report` in task order.  A task whose cost estimate is
-    over `budget` counts as one skipped point; sides evaluated in `fast`
-    mode are never gated."""
+    """The report named `name` with `params` of `compare` run on every
+    item against every grid model over `signature`, items outer and models
+    inner.  Teams have at most `grid.max_rows` rows, and at most
+    `wide_rows` on models of three or more elements.  A task whose cost
+    estimate is over `budget` counts as one skipped point; sides evaluated
+    in `fast` mode are never gated.  Counts and records are merged in task
+    order, whatever the number of workers."""
     modes = (mode, mode) if isinstance(mode, str) else tuple(mode)
+    wide = grid.max_rows if wide_rows is None else min(wide_rows, grid.max_rows)
 
-    def run(item, model: Model, rows: int) -> tuple:
+    def run(item, model: Model) -> tuple:
+        rows = wide if len(model.domain) > 2 else grid.max_rows
         points = compare(item, model, rows, modes, registry)
         sides = next(points)
         if budget is not None and budget < max(
@@ -710,9 +720,10 @@ def _sweep(
                 records.append(_point(*point.record))
         return checked, skipped, mismatches, records
 
-    for checked, skipped, mismatches, records in _map(
-        [functools.partial(run, *task) for task in tasks], jobs
-    ):
+    models = _grid_models(signature, grid)
+    tasks = [functools.partial(run, item, model) for item in items for model in models]
+    report = Report(name, params, records=[] if verbose else None)
+    for checked, skipped, mismatches, records in _map(tasks, jobs):
         report.checked += checked
         report.skipped += skipped
         report.mismatches.extend(mismatches)
@@ -748,23 +759,18 @@ def check_formula_equivalence(
         signature = {**sig_a, **sig_b}
     if vars is None:
         vars = tuple(sorted(free_variables(phi) | free_variables(psi)))
-    report = Report(
-        name="formula-equivalence",
-        params={
-            "left": pretty(phi),
-            "right": pretty(psi),
-            "vars": list(vars),
-            "signature": dict(sorted(signature.items())),
-            "grid": grid.as_dict(),
-            "mode": mode,
-        },
-        records=[] if verbose else None,
+    params = {
+        "left": pretty(phi),
+        "right": pretty(psi),
+        "vars": list(vars),
+        "signature": dict(sorted(signature.items())),
+        "grid": grid.as_dict(),
+        "mode": mode,
+    }
+    return _sweep(
+        "formula-equivalence", params, _equivalence, [(phi, psi, vars)],
+        signature, grid, mode, budget, registry, jobs, verbose,
     )
-    tasks = [
-        ((phi, psi, vars), model, grid.max_rows)
-        for model in _grid_models(signature, grid)
-    ]
-    return _sweep(report, _equivalence, tasks, mode, budget, registry, jobs, verbose)
 
 
 def check_translation_equivalence(
@@ -790,30 +796,24 @@ def check_translation_equivalence(
     grid = grid or DEFAULT_GRID
     if sentence is None:
         result = translate(phi, tuple_vars, registry)
-        sentence = result.sentence
-        relation = result.relation
+        sentence, relation = result.sentence, result.relation
     if relation is None:
         raise HarnessError("a sentence override needs its team relation name")
     if signature is None:
         signature = formula_signature(phi)
-    report = Report(
-        name="translation-equivalence",
-        params={
-            "formula": pretty(phi),
-            "tuple": list(tuple_vars),
-            "sentence": pretty(sentence),
-            "relation": relation,
-            "signature": dict(sorted(signature.items())),
-            "grid": grid.as_dict(),
-            "mode": mode,
-        },
-        records=[] if verbose else None,
+    params = {
+        "formula": pretty(phi),
+        "tuple": list(tuple_vars),
+        "sentence": pretty(sentence),
+        "relation": relation,
+        "signature": dict(sorted(signature.items())),
+        "grid": grid.as_dict(),
+        "mode": mode,
+    }
+    return _sweep(
+        "translation-equivalence", params, _translation, [(phi, tuple_vars, sentence, relation)],
+        signature, grid, mode, budget, registry, jobs, verbose,
     )
-    tasks = [
-        ((phi, tuple_vars, sentence, relation), model, grid.max_rows)
-        for model in _grid_models(signature, grid)
-    ]
-    return _sweep(report, _translation, tasks, mode, budget, registry, jobs, verbose)
 
 
 # ---------------------------------------------------------------------------
@@ -852,12 +852,6 @@ class Sweep(NamedTuple):
     params: Mapping[str, Sequence] = {}
 
 
-def _tier_rows(tier: Tier, tier_grid: GridConfig, model: Model) -> int:
-    if tier.wide_rows is not None and len(model.domain) > 2:
-        return min(tier.wide_rows, tier_grid.max_rows)
-    return tier_grid.max_rows
-
-
 def _vars(grid: GridConfig) -> tuple[str, ...]:
     return ("x", "y")[: grid.max_vars]
 
@@ -875,7 +869,7 @@ def _formulas(atoms: Sequence[str], **caps) -> Callable[..., list[Formula]]:
 def _translation_corpus(grid, signature):
     items = []
     for phi in generate_formulas(DEFAULT_TRANSLATION_ATOMS, signature, grid.max_depth, _vars(grid)):
-        xs = _fv_tuple(phi)
+        xs = _free(phi) or ("x",)
         result = translate(phi, xs)
         items.append((phi, xs, result.sentence, result.relation))
     return items
@@ -999,25 +993,18 @@ def run_suite(
         if tier.rows is not None:
             tier_grid = replace(grid, doms=(2,), max_rows=min(tier.rows, grid.max_rows))
         items = [item for item in corpus if tier.only is None or tier.only(item)]
-        report = Report(
-            name=sweep.name,
-            params={
-                "tier": tier.label,
-                "grid": tier_grid.as_dict(),
-                "corpus_size": len(items),
-                "mode": tier.mode if isinstance(tier.mode, str) else "/".join(tier.mode),
-                **{key: list(value) for key, value in sweep.params.items()},
-            },
-            records=[] if verbose else None,
-        )
         checkable = [item for item in items if tier.skip is None or not tier.skip(item)]
-        report.skipped = len(items) - len(checkable)
-        models = _grid_models(sweep.signature, tier_grid)
-        tasks = [
-            (item, model, _tier_rows(tier, tier_grid, model))
-            for item in checkable
-            for model in models
-        ]
-        _sweep(report, sweep.compare, tasks, tier.mode, tier.budget, DEFAULT_REGISTRY, jobs, verbose)
+        params = {
+            "tier": tier.label,
+            "grid": tier_grid.as_dict(),
+            "corpus_size": len(items),
+            "mode": tier.mode if isinstance(tier.mode, str) else "/".join(tier.mode),
+            **{key: list(value) for key, value in sweep.params.items()},
+        }
+        report = _sweep(
+            sweep.name, params, sweep.compare, checkable, sweep.signature, tier_grid,
+            tier.mode, tier.budget, DEFAULT_REGISTRY, jobs, verbose, tier.wide_rows,
+        )
+        report.skipped += len(items) - len(checkable)
         reports.append(report)
     return reports
