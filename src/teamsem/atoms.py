@@ -475,6 +475,8 @@ class AtomRegistry:
             raise RegistrationError(f"bad atom name {name!r}")
         if arity < 1:
             raise RegistrationError("custom atoms need arity >= 1")
+        if bound is not None and (type(bound) is not int or bound < 0):
+            raise RegistrationError(f"bound must be a nonnegative integer or null, got {bound!r}")
         if not is_first_order(definition):
             raise RegistrationError("atom definitions must be first-order")
         if free_variables(definition):

@@ -36,7 +36,7 @@ from .harness import (
     grid_from_env,
     run_suite,
 )
-from .model import Model, ModelError, Team
+from .model import SINGLETON_EMPTY_TEAM, Model, ModelError, Team
 from .syntax import (
     And,
     BoolLit,
@@ -102,6 +102,8 @@ def _register_file(registry: AtomRegistry, path: str) -> None:
         upwards = spec["upwards_closed"]
     except KeyError as missing:
         raise AtomError(f"{path}: missing atom field {missing}") from None
+    if not (isinstance(name, str) and isinstance(definition_text, str) and type(arity) is int):
+        raise AtomError(f"{path}: 'name' and 'definition' must be strings, 'arity' an integer")
     definition = parse(definition_text)
     registry.register_custom(
         name,
@@ -185,7 +187,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             raise EvalError(
                 f"--sentence needs a sentence; free variables: {sorted(free_variables(phi))}"
             )
-        team = Team((), frozenset({()}))
+        team = SINGLETON_EMPTY_TEAM
     else:
         if args.team is None:
             raise EvalError("provide a --team file or pass --sentence")

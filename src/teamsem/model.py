@@ -98,17 +98,19 @@ class Model:
             raw = json.loads(text)
         except json.JSONDecodeError as e:
             raise ModelError(f"bad model JSON: {e}") from e
-        if not isinstance(raw, dict) or "domain" not in raw:
+        if not isinstance(raw, dict) or not isinstance(raw.get("domain"), list):
             raise ModelError("model JSON needs a 'domain' list")
+        constants, relations = raw.get("constants", {}), raw.get("relations", {})
+        if not isinstance(constants, dict) or not isinstance(relations, dict):
+            raise ModelError("model JSON 'constants' and 'relations' must be objects")
         domain = tuple(str(e) for e in raw["domain"])
-        constants = {str(k): str(v) for k, v in raw.get("constants", {}).items()}
-        relations = {}
-        for name, body in raw.get("relations", {}).items():
-            if not isinstance(body, dict) or "arity" not in body:
-                raise ModelError(f"relation {name} needs an 'arity'")
-            tuples = frozenset(tuple(str(e) for e in t) for t in body.get("tuples", []))
-            relations[str(name)] = Relation(int(body["arity"]), tuples)
-        return Model(domain, relations, constants)
+        rels = {}
+        for name, body in relations.items():
+            if not isinstance(body, dict) or type(body.get("arity")) is not int:
+                raise ModelError(f"relation {name} needs an integer 'arity'")
+            tuples = _json_rows(body.get("tuples", []), f"relation {name} tuples")
+            rels[str(name)] = Relation(body["arity"], tuples)
+        return Model(domain, rels, {str(k): str(v) for k, v in constants.items()})
 
     def to_json(self) -> str:
         return json.dumps(
@@ -160,11 +162,9 @@ class Team:
             raw = json.loads(text)
         except json.JSONDecodeError as e:
             raise ModelError(f"bad team JSON: {e}") from e
-        if not isinstance(raw, dict) or "vars" not in raw or "rows" not in raw:
-            raise ModelError("team JSON needs 'vars' and 'rows'")
-        vars_ = tuple(str(v) for v in raw["vars"])
-        rows = frozenset(tuple(str(e) for e in r) for r in raw["rows"])
-        return Team(vars_, rows)
+        if not isinstance(raw, dict) or not isinstance(raw.get("vars"), list) or "rows" not in raw:
+            raise ModelError("team JSON needs a 'vars' list and 'rows'")
+        return Team(tuple(str(v) for v in raw["vars"]), _json_rows(raw["rows"], "team rows"))
 
     def to_json(self) -> str:
         return json.dumps(
@@ -174,6 +174,13 @@ class Team:
 
 
 SINGLETON_EMPTY_TEAM = Team((), frozenset({()}))   # the single empty assignment
+
+
+def _json_rows(value, what: str) -> frozenset[Row]:
+    """The rows of a JSON list of lists, each entry read as a string."""
+    if not isinstance(value, list) or not all(isinstance(r, list) for r in value):
+        raise ModelError(f"{what} must be a list of lists")
+    return frozenset(tuple(str(e) for e in r) for r in value)
 
 
 # ---------------------------------------------------------------------------

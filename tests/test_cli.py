@@ -147,6 +147,27 @@ def test_eval_rejects_malformed_model_and_team_files(capsys, tmp_path, model_fil
     wide_row = atom_file(tmp_path, "t2", {"vars": ["x"], "rows": [["a", "b"]]})
     assert main(["eval", "NE", "--model", model_file, "--team", wide_row]) == 2
     assert "does not match team variables" in capsys.readouterr().err
+    # files of the wrong shape are input errors too, not crashes
+    bad_models = [
+        ({"domain": 5}, "needs a 'domain' list"),
+        ({"domain": ["a", "b"], "relations": []}, "must be objects"),
+        ({"domain": ["a", "b"], "relations": {"P": {"arity": "1"}}}, "integer 'arity'"),
+        ({"domain": ["a", "b"], "relations": {"P": {"arity": 1, "tuples": 5}}}, "list of lists"),
+    ]
+    for i, (spec, message) in enumerate(bad_models):
+        path = atom_file(tmp_path, f"bad_model{i}", spec)
+        assert main(["eval", "NE", "--model", path, "--sentence"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+    bad_teams = [
+        ({"vars": ["x"], "rows": 5}, "team rows must be a list of lists"),
+        ({"vars": ["x"], "rows": ["a"]}, "team rows must be a list of lists"),
+        ({"vars": 5, "rows": []}, "team JSON needs a 'vars' list and 'rows'"),
+    ]
+    for i, (spec, message) in enumerate(bad_teams):
+        path = atom_file(tmp_path, f"bad_team{i}", spec)
+        assert main(["eval", "NE", "--model", model_file, "--team", path]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_eval_json_with_stats_and_witness(capsys, model_file, team_file):
@@ -435,6 +456,32 @@ def test_atoms_register_refutes_bound_claim(capsys, tmp_path):
     )
     assert main(["atoms", "register", path]) == 1
     assert "3-bounded" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("arity", "1", "'arity' an integer"),
+        ("definition", 5, "'definition' must be strings"),
+        ("name", 5, "'name' and 'definition' must be strings"),
+        ("bound", -1, "bound must be a nonnegative integer or null, got -1"),
+        ("bound", "2", "bound must be a nonnegative integer or null, got '2'"),
+    ],
+)
+def test_atoms_register_rejects_malformed_fields(capsys, tmp_path, field, value, message):
+    # unchecked registrations too: an unchecked bound of -1 would reach
+    # the height analysis as a breached invariant
+    spec = {
+        "name": "has_pair",
+        "arity": 2,
+        "definition": "E u. E w. R(u, w) /\\ u != w",
+        "upwards_closed": True,
+        "check": False,
+        field: value,
+    }
+    assert main(["atoms", "register", atom_file(tmp_path, "malformed", spec)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
 
 
 def test_atoms_register_missing_field(capsys, tmp_path):
