@@ -691,13 +691,13 @@ def _sweep(
     verbose: bool,
     wide_rows: int | None = None,
 ) -> Report:
-    """The report named `name` with `params` of `compare` run on every
-    item against every grid model over `signature`, items outer and models
-    inner.  Teams have at most `grid.max_rows` rows, and at most
-    `wide_rows` on models of three or more elements.  A task whose cost
-    estimate is over `budget` counts as one skipped point; sides evaluated
-    in `fast` mode are never gated.  Counts and records are merged in task
-    order, whatever the number of workers."""
+    """Run `compare` on every item against every grid model over
+    `signature` (items outer, models inner) and return the report `name`
+    with `params`, its counts and records merged in task order whatever
+    the number of workers.  Teams have at most `grid.max_rows` rows, and
+    at most `wide_rows` on models of three or more elements.  A task whose
+    cost estimate is over `budget` counts as one skipped point; sides
+    evaluated in `fast` mode are never gated."""
     modes = (mode, mode) if isinstance(mode, str) else tuple(mode)
     wide = grid.max_rows if wide_rows is None else min(wide_rows, grid.max_rows)
 
