@@ -104,16 +104,16 @@ def _register_file(registry: AtomRegistry, path: str) -> None:
         raise AtomError(f"{path}: missing atom field {missing}") from None
     if not (isinstance(name, str) and isinstance(definition_text, str) and type(arity) is int):
         raise AtomError(f"{path}: 'name' and 'definition' must be strings, 'arity' an integer")
+    flags = {
+        "upwards_closed": upwards,
+        "downwards_closed": spec.get("downwards_closed", False),
+        "check": spec.get("check", True),
+    }
+    for flag, value in flags.items():
+        if type(value) is not bool:
+            raise AtomError(f"{path}: '{flag}' must be true or false, got {json.dumps(value)}")
     definition = parse(definition_text)
-    registry.register_custom(
-        name,
-        arity,
-        definition,
-        upwards_closed=upwards,
-        bound=spec.get("bound"),
-        downwards_closed=spec.get("downwards_closed", False),
-        check=spec.get("check", True),
-    )
+    registry.register_custom(name, arity, definition, bound=spec.get("bound"), **flags)
 
 
 def _parse_formula(text: str, registry: AtomRegistry, model: Model | None = None) -> Formula:

@@ -73,9 +73,11 @@ from .syntax import (
     Possibly,
     RelLit,
     RestrictedBy,
+    _children,
     flatten,
     free_variables,
     restrict,
+    sorted_free_variables,
 )
 
 MODES = ("naive", "oracle", "fast")
@@ -98,22 +100,14 @@ def upward_fragment(
     got = cache.get(id(phi))
     if got is not None:
         return got
-    if isinstance(phi, (BoolLit, RelLit, EqLit)):
-        out = True
-    elif isinstance(phi, DepAtom):
+    if isinstance(phi, DepAtom):
         out = registry.resolve_atom(phi).upwards_closed
-    elif isinstance(phi, (Or, And)):
-        out = upward_fragment(phi.left, registry, cache) and upward_fragment(
-            phi.right, registry, cache
-        )
-    elif isinstance(phi, (Exists, Forall)):
-        out = upward_fragment(phi.body, registry, cache)
     elif isinstance(phi, Possibly):
         out = True
-    elif isinstance(phi, RestrictedBy):
-        out = upward_fragment(phi.body, registry, cache)
     else:
-        raise EvalError(f"unknown node {phi!r}")
+        out = True
+        for part in _children(phi):  # a loop, so one frame per level
+            out = out and upward_fragment(part, registry, cache)
     cache[id(phi)] = out
     return out
 
@@ -179,8 +173,9 @@ class Evaluator:
 
     One instance per (model, strategy); memoization is keyed by subformula
     identity and team, so sweeping many teams against one formula reuses
-    work.  The memo stops growing at `MEMO_LIMIT` entries, and so does each
-    table of team images or of atom verdicts.
+    work.  Node ids key a table only at or below a compiled node, which its
+    entry keeps alive.  The memo stops growing at `MEMO_LIMIT` entries, and
+    so does each table of team images or of atom verdicts.
     """
 
     def __init__(
@@ -196,11 +191,8 @@ class Evaluator:
         self.mode = mode
         self.stats = EvalStats()
         self._memo: dict[tuple, bool] = {}
-        self._fv: dict[int, tuple[str, ...]] = {}
         self._upward: dict[int, bool] = {}
-        self._roots: dict[int, Formula] = {}
-        # per (node id, vars): the compiled node, and a first-order node's
-        # rows; each entry keeps its node alive, so ids stay valid
+        # per (node id, vars): the compiled node, and a first-order node's rows
         self._compiled: dict[tuple, Callable[[int], bool]] = {}
         self._truths: dict[tuple, Callable[[int], int]] = {}
         # row indexing: row <-> bit, and team images per operation
@@ -215,14 +207,7 @@ class Evaluator:
     # -- public API ---------------------------------------------------------
 
     def evaluate(self, phi: Formula, team: Team) -> bool:
-        run = self._compiled.get((id(phi), team.vars))
-        if run is None:  # else `phi` is pinned, and `vars` covers it
-            self._roots.setdefault(id(phi), phi)  # pin subformula ids for the memo's lifetime
-            missing = [v for v in self._free(phi) if v not in team.vars]
-            if missing:
-                raise EvalError(f"team does not cover free variables {missing}")
-            run = self._at(phi, team.vars)
-        return run(self._mask(team.rows))
+        return self._at(phi, team.vars)(self._mask(team.rows))
 
     def sentence_true(self, phi: Formula) -> bool:
         """Truth of a sentence: evaluation on the team of the single empty
@@ -236,20 +221,6 @@ class Evaluator:
         self.stats = EvalStats()
         out = self.evaluate(phi, team)
         return out, self.stats.as_dict()
-
-    # -- node caches ---------------------------------------------------------
-
-    def _free(self, node: Formula) -> tuple[str, ...]:
-        return self._cached(self._fv, id(node), lambda: tuple(sorted(free_variables(node))))
-
-    def _cached(self, cache: dict, key, build: Callable):
-        got = cache.get(key)
-        if got is None:
-            got = cache[key] = build()
-        return got
-
-    def _all_upward(self, node: Formula) -> bool:
-        return upward_fragment(node, self.registry, self._upward)
 
     # -- rows and masks ------------------------------------------------------
 
@@ -343,11 +314,18 @@ class Evaluator:
         """`node` compiled to a function of masks over `vars`, once per
         (node, vars): it reads and fills the memo, counts, and runs the
         node's body, built on first use.  In fast mode it restricts the
-        mask to the node's free variables first."""
-        return self._cached(self._compiled, (id(node), vars), lambda: self._compile(node, vars))
+        mask to the node's free variables first.  Only a root can fail to
+        cover its free variables."""
+        got = self._compiled.get((id(node), vars))
+        if got is None:
+            missing = [v for v in sorted_free_variables(node) if v not in vars]
+            if missing:
+                raise EvalError(f"team does not cover free variables {missing}")
+            got = self._compiled[id(node), vars] = self._compile(node, vars)
+        return got
 
     def _compile(self, node: Formula, vars: tuple[str, ...]) -> Callable[[int], bool]:
-        fv = self._free(node) if self.mode == "fast" else vars
+        fv = sorted_free_variables(node) if self.mode == "fast" else vars
         if fv != vars:
             inner, restricted = self._at(node, fv), self._restrict(vars, fv)
             return lambda mask: inner(restricted(mask))
@@ -429,7 +407,7 @@ class Evaluator:
                 return False
 
             return covers
-        if self.mode == "fast" and self._all_upward(node):
+        if self.mode == "fast" and upward_fragment(node, self.registry, self._upward):
             sat_l = self._satisfying(flatten(node.left), vars)
             sat_r = self._satisfying(flatten(node.right), vars)
 
@@ -504,7 +482,7 @@ class Evaluator:
         if self.mode != "fast":
             search = self._exists_by_subsets(node, body_vars)
             return lambda mask: search(duplicated(mask))
-        upward = self._all_upward(node.body)
+        upward = upward_fragment(node.body, self.registry, self._upward)
         if not upward and _forces_constant(node):
             constants = [self._assign(vars, node.var, (value,))[1] for value in self.model.domain]
 
@@ -582,7 +560,7 @@ class Evaluator:
 
     def _possibly(self, node: Possibly, vars: tuple[str, ...]) -> Callable[[int], bool]:
         me, body = self._me, self._at(node.body, vars)
-        if self.mode == "fast" and self._all_upward(node.body):
+        if self.mode == "fast" and upward_fragment(node.body, self.registry, self._upward):
             satisfying = self._satisfying(flatten(node.body), vars)
             return lambda mask: bool(kept := satisfying(mask)) and body(kept)
 

@@ -73,6 +73,7 @@ from .syntax import (
     formula_signature,
     free_variables,
     pretty,
+    sorted_free_variables,
     subformulas,
 )
 from .translator import desugar_negated_atoms, translate
@@ -468,10 +469,6 @@ def _point(model: Model, team: Team, verdicts: dict, extra: dict) -> dict:
     return data
 
 
-def _free(phi: Formula) -> tuple[str, ...]:
-    return tuple(sorted(free_variables(phi)))
-
-
 # ---------------------------------------------------------------------------
 # Comparisons
 #
@@ -554,7 +551,7 @@ def _one_formula(check: Callable) -> Callable:
     def compare(phi, model, rows, modes, registry):
         yield [(phi, modes[0])]
         ev = Evaluator(model, registry=registry, mode=modes[0])
-        yield from check(phi, _free(phi), ev, model, rows)
+        yield from check(phi, sorted_free_variables(phi), ev, model, rows)
 
     return compare
 
@@ -869,7 +866,7 @@ def _formulas(atoms: Sequence[str], **caps) -> Callable[..., list[Formula]]:
 def _translation_corpus(grid, signature):
     items = []
     for phi in generate_formulas(DEFAULT_TRANSLATION_ATOMS, signature, grid.max_depth, _vars(grid)):
-        xs = _free(phi) or ("x",)
+        xs = sorted_free_variables(phi) or ("x",)
         result = translate(phi, xs)
         items.append((phi, xs, result.sentence, result.relation))
     return items
@@ -883,7 +880,7 @@ def _possibility_corpus(grid, signature):
         binary_cap=3, mix_cap=2, quant_cap=2,
     )
     phis = [Possibly(body) for body in bodies]
-    return [(phi, desugar_possibility(phi), _free(phi)) for phi in phis]
+    return [(phi, desugar_possibility(phi), sorted_free_variables(phi)) for phi in phis]
 
 
 def _quantifier_free(phi: Formula) -> bool:
@@ -903,7 +900,7 @@ def _definability_corpus(grid, signature):
         DepAtom("noncindep", (("x",), ("y",), ("x",))),
         DepAtom("noncindep", (("x",), ("x",), ("y",))),
     ]
-    return [(atom, desugar_negated_atoms(atom), _free(atom)) for atom in instances]
+    return [(atom, desugar_negated_atoms(atom), sorted_free_variables(atom)) for atom in instances]
 
 
 def _isomorphism_corpus(grid, signature):

@@ -103,14 +103,14 @@ class Model:
         constants, relations = raw.get("constants", {}), raw.get("relations", {})
         if not isinstance(constants, dict) or not isinstance(relations, dict):
             raise ModelError("model JSON 'constants' and 'relations' must be objects")
-        domain = tuple(str(e) for e in raw["domain"])
+        domain = tuple(_json_scalar(e, "domain elements") for e in raw["domain"])
         rels = {}
         for name, body in relations.items():
             if not isinstance(body, dict) or type(body.get("arity")) is not int:
                 raise ModelError(f"relation {name} needs an integer 'arity'")
             tuples = _json_rows(body.get("tuples", []), f"relation {name} tuples")
             rels[str(name)] = Relation(body["arity"], tuples)
-        return Model(domain, rels, {str(k): str(v) for k, v in constants.items()})
+        return Model(domain, rels, {k: _json_scalar(v, "constant values") for k, v in constants.items()})
 
     def to_json(self) -> str:
         return json.dumps(
@@ -164,7 +164,8 @@ class Team:
             raise ModelError(f"bad team JSON: {e}") from e
         if not isinstance(raw, dict) or not isinstance(raw.get("vars"), list) or "rows" not in raw:
             raise ModelError("team JSON needs a 'vars' list and 'rows'")
-        return Team(tuple(str(v) for v in raw["vars"]), _json_rows(raw["rows"], "team rows"))
+        vars = tuple(_json_scalar(v, "team vars") for v in raw["vars"])
+        return Team(vars, _json_rows(raw["rows"], "team rows"))
 
     def to_json(self) -> str:
         return json.dumps(
@@ -180,7 +181,15 @@ def _json_rows(value, what: str) -> frozenset[Row]:
     """The rows of a JSON list of lists, each entry read as a string."""
     if not isinstance(value, list) or not all(isinstance(r, list) for r in value):
         raise ModelError(f"{what} must be a list of lists")
-    return frozenset(tuple(str(e) for e in r) for r in value)
+    return frozenset(tuple(_json_scalar(e, f"entries of {what}") for e in r) for r in value)
+
+
+def _json_scalar(value, what: str) -> str:
+    """A JSON string or number, read as a string; anything else, booleans
+    included, is a `ModelError`."""
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ModelError(f"{what} must be strings or numbers, got {json.dumps(value)}")
+    return str(value)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ first-class nodes so that they can be desugared or compiled later.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping
@@ -54,11 +55,15 @@ Term = Var | Const
 
 @dataclass(frozen=True)
 class Formula:
+    # the free variables and first-order-ness, kept on first ask and
+    # outside the fields, so out of `==`, `hash` and `repr`
+    __slots__ = ("_free", "_first_order")
+
     def __str__(self) -> str:
         return pretty(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoolLit(Formula):
     value: bool
 
@@ -67,7 +72,7 @@ TRUE = BoolLit(True)
 FALSE = BoolLit(False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RelLit(Formula):
     """A (possibly negated) relation literal R(t1, ..., tk)."""
 
@@ -76,7 +81,7 @@ class RelLit(Formula):
     args: tuple[Term, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EqLit(Formula):
     """t = t' when positive, t != t' otherwise."""
 
@@ -85,7 +90,7 @@ class EqLit(Formula):
     right: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DepAtom(Formula):
     """A dependency atom applied to groups of variables.
 
@@ -111,36 +116,36 @@ class DepAtom(Formula):
         return tuple(v for g in self.groups for v in g)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Exists(Formula):
     var: str
     body: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Forall(Formula):
     var: str
     body: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Possibly(Formula):
     body: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RestrictedBy(Formula):
     """`body` evaluated on the subteam where the first-order `guard` holds."""
 
@@ -196,18 +201,26 @@ def forall_chain(names: Iterable[str], body: Formula) -> Formula:
 # Walks and simple queries
 
 
-def subformulas(phi: Formula) -> Iterator[Formula]:
-    yield phi
+def _children(phi: Formula) -> tuple[Formula, ...]:
+    """The subformulas directly below `phi`, left to right."""
     if isinstance(phi, (Or, And)):
-        yield from subformulas(phi.left)
-        yield from subformulas(phi.right)
-    elif isinstance(phi, (Exists, Forall)):
-        yield from subformulas(phi.body)
-    elif isinstance(phi, Possibly):
-        yield from subformulas(phi.body)
-    elif isinstance(phi, RestrictedBy):
-        yield from subformulas(phi.body)
-        yield from subformulas(phi.guard)
+        return phi.left, phi.right
+    if isinstance(phi, (Exists, Forall, Possibly)):
+        return (phi.body,)
+    if isinstance(phi, RestrictedBy):
+        return phi.body, phi.guard
+    if isinstance(phi, Formula):
+        return ()
+    raise SyntaxViolation(f"unknown node {phi!r}")
+
+
+def subformulas(phi: Formula) -> Iterator[Formula]:
+    """Every node of `phi` in pre-order, left to right."""
+    stack = [phi]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(_children(node)))
 
 
 def map_formula(phi: Formula, fn: Callable[[Formula], Formula]) -> Formula:
@@ -231,37 +244,44 @@ def count_nodes(phi: Formula) -> int:
 
 def free_variables(phi: Formula) -> frozenset[str]:
     """Free variables; all arguments of a dependency atom count as free."""
-    if isinstance(phi, BoolLit):
-        return frozenset()
-    if isinstance(phi, RelLit):
-        return frozenset(t.name for t in phi.args if isinstance(t, Var))
-    if isinstance(phi, EqLit):
-        return frozenset(t.name for t in (phi.left, phi.right) if isinstance(t, Var))
-    if isinstance(phi, DepAtom):
-        return frozenset(phi.args)
-    if isinstance(phi, (Or, And)):
-        return free_variables(phi.left) | free_variables(phi.right)
-    if isinstance(phi, (Exists, Forall)):
-        return free_variables(phi.body) - {phi.var}
-    if isinstance(phi, Possibly):
-        return free_variables(phi.body)
-    if isinstance(phi, RestrictedBy):
-        return free_variables(phi.body) | free_variables(phi.guard)
-    raise SyntaxViolation(f"unknown node {phi!r}")
+    return frozenset(sorted_free_variables(phi))
+
+
+def sorted_free_variables(phi: Formula) -> tuple[str, ...]:
+    """The free variables of `phi` in sorted order, computed once per node
+    from its children's and kept on the node."""
+    out = getattr(phi, "_free", None)
+    if out is None:
+        if isinstance(phi, DepAtom):
+            names = set(phi.args)
+        elif isinstance(phi, (RelLit, EqLit)):
+            terms = phi.args if isinstance(phi, RelLit) else (phi.left, phi.right)
+            names = {t.name for t in terms if isinstance(t, Var)}
+        else:
+            names = set()
+            for part in _children(phi):  # a loop, so one frame per level
+                names.update(sorted_free_variables(part))
+            if isinstance(phi, (Exists, Forall)):
+                names.discard(phi.var)
+        out = _shared(tuple(sorted(names)))
+        object.__setattr__(phi, "_free", out)
+    return out
+
+
+@functools.lru_cache(maxsize=10_000)
+def _shared(names: tuple[str, ...]) -> tuple[str, ...]:
+    """Equal free-variable tuples as one object, so a node pays for its slot alone."""
+    return names
 
 
 def all_variable_names(phi: Formula) -> frozenset[str]:
     """Every variable name occurring anywhere, bound or free (for freshness)."""
     names: set[str] = set()
     for node in subformulas(phi):
-        if isinstance(node, RelLit):
-            names.update(t.name for t in node.args if isinstance(t, Var))
-        elif isinstance(node, EqLit):
-            names.update(t.name for t in (node.left, node.right) if isinstance(t, Var))
-        elif isinstance(node, DepAtom):
-            names.update(node.args)
-        elif isinstance(node, (Exists, Forall)):
+        if isinstance(node, (Exists, Forall)):
             names.add(node.var)
+        elif not _children(node):  # a leaf's variables are all free
+            names.update(sorted_free_variables(node))
     return frozenset(names)
 
 
@@ -287,10 +307,14 @@ def constant_names(phi: Formula) -> frozenset[str]:
 
 
 def is_first_order(phi: Formula) -> bool:
-    """True when no dependency atom, possibility, or restriction occurs."""
-    return not any(
-        isinstance(node, (DepAtom, Possibly, RestrictedBy)) for node in subformulas(phi)
-    )
+    """True when no dependency atom, possibility, or restriction occurs; kept on the node."""
+    out = getattr(phi, "_first_order", None)
+    if out is None:
+        out = not isinstance(phi, (DepAtom, Possibly, RestrictedBy))
+        for part in _children(phi):  # a loop, so one frame per level
+            out = out and is_first_order(part)
+        object.__setattr__(phi, "_first_order", out)
+    return out
 
 
 def is_clean(phi: Formula) -> bool:
@@ -438,7 +462,7 @@ def _simplify_node(phi: Formula) -> Formula:
         if phi.right == TRUE:
             return phi.left
     if isinstance(phi, (Exists, Forall)):
-        if isinstance(phi.body, BoolLit) or phi.var not in free_variables(phi.body):
+        if isinstance(phi.body, BoolLit) or phi.var not in sorted_free_variables(phi.body):
             return phi.body
     return phi
 

@@ -153,6 +153,14 @@ def test_eval_rejects_malformed_model_and_team_files(capsys, tmp_path, model_fil
         ({"domain": ["a", "b"], "relations": []}, "must be objects"),
         ({"domain": ["a", "b"], "relations": {"P": {"arity": "1"}}}, "integer 'arity'"),
         ({"domain": ["a", "b"], "relations": {"P": {"arity": 1, "tuples": 5}}}, "list of lists"),
+        # entries must be JSON strings or numbers, not lists, objects or booleans
+        ({"domain": [["a"], {"b": 1}]}, 'domain elements must be strings or numbers, got ["a"]'),
+        ({"domain": ["a", True]}, "domain elements must be strings or numbers, got true"),
+        ({"domain": ["a", "b"], "constants": {"c": ["a"]}}, 'constant values must be strings or numbers, got ["a"]'),
+        (
+            {"domain": ["a", "b"], "relations": {"P": {"arity": 1, "tuples": [[{"a": 1}]]}}},
+            'entries of relation P tuples must be strings or numbers, got {"a": 1}',
+        ),
     ]
     for i, (spec, message) in enumerate(bad_models):
         path = atom_file(tmp_path, f"bad_model{i}", spec)
@@ -163,6 +171,8 @@ def test_eval_rejects_malformed_model_and_team_files(capsys, tmp_path, model_fil
         ({"vars": ["x"], "rows": 5}, "team rows must be a list of lists"),
         ({"vars": ["x"], "rows": ["a"]}, "team rows must be a list of lists"),
         ({"vars": 5, "rows": []}, "team JSON needs a 'vars' list and 'rows'"),
+        ({"vars": [["x"]], "rows": []}, 'team vars must be strings or numbers, got ["x"]'),
+        ({"vars": ["x"], "rows": [[False]]}, "entries of team rows must be strings or numbers, got false"),
     ]
     for i, (spec, message) in enumerate(bad_teams):
         path = atom_file(tmp_path, f"bad_team{i}", spec)
@@ -466,6 +476,11 @@ def test_atoms_register_refutes_bound_claim(capsys, tmp_path):
         ("name", 5, "'name' and 'definition' must be strings"),
         ("bound", -1, "bound must be a nonnegative integer or null, got -1"),
         ("bound", "2", "bound must be a nonnegative integer or null, got '2'"),
+        ("upwards_closed", "false", "malformed.json: 'upwards_closed' must be true or false, got \"false\""),
+        ("upwards_closed", 1, "'upwards_closed' must be true or false, got 1"),
+        ("downwards_closed", "false", "'downwards_closed' must be true or false, got \"false\""),
+        ("check", "false", "'check' must be true or false, got \"false\""),
+        ("check", None, "'check' must be true or false, got null"),
     ],
 )
 def test_atoms_register_rejects_malformed_fields(capsys, tmp_path, field, value, message):

@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import sys
 import weakref
 
 from hypothesis import given
@@ -9,11 +10,11 @@ from hypothesis import strategies as st
 
 import pytest
 
-from teamsem import Model, Relation, Team, evaluate, evaluator, parse, sentence_true
+from teamsem import Model, Relation, Team, evaluate, evaluator, parse, sentence_true, syntax
 from teamsem.atoms import DEFAULT_REGISTRY
 from teamsem.evaluator import Evaluator, MODES, upward_fragment
 from teamsem.model import EvalError, SINGLETON_EMPTY_TEAM, tarski_eval
-from teamsem.syntax import free_variables
+from teamsem.syntax import count_nodes, free_variables
 from teamsem.translator import desugar_possibility
 
 
@@ -268,14 +269,66 @@ def test_eval_errors(m2):
         evaluate(m2, team("x", ("a",)), parse("P(x)"), mode="psychic")
 
 
-def test_repeated_evaluation_pins_the_formula_once(m2):
-    ev = Evaluator(m2)
+@pytest.mark.parametrize("mode", MODES)
+def test_repeated_evaluation_compiles_the_root_once(m2, mode):
+    # the compiled root keeps its node alive, so its id stays its key
+    ev = Evaluator(m2, mode=mode)
+    compiled, compile_node = [], ev._compile
+    ev._compile = lambda node, vars: compiled.append((node, vars)) or compile_node(node, vars)
     phi = parse("NE \\/ dep(x; y)")
     for X in all_teams(m2, "xy", 2):
         ev.evaluate(phi, X)
         ev.evaluate(phi, X)
     ev.witness(phi, team("xy", ("a", "a"), ("b", "a")))
-    assert len(ev._roots) == 1
+    assert [vars for node, vars in compiled if node is phi] == [("x", "y")]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_dropped_formulas_leave_nothing_for_their_reused_ids(m2, mode):
+    # each formula is parsed afresh and dropped after use, so later nodes
+    # take over its ids; those with y free fail on a team over x alone
+    texts = [
+        "P(x) \\/ P(y)",
+        "P(x) /\\ NE",
+        "E y. (P(y) \\/ x = y)",
+        "dep(x; y) \\/ !P(x)",
+        "A y. (P(x) \\/ !P(y))",
+        "poss(P(x) /\\ x != y)",
+        "restrict(NE ; P(x))",
+    ]
+    X = team("x", ("a",), ("b",))
+
+    def outcome(ev, text):
+        try:
+            return ev.evaluate(parse(text), X)
+        except EvalError as err:
+            return str(err)
+
+    ev = Evaluator(m2, mode=mode)
+    for i in range(200):
+        text = texts[i % len(texts)]
+        assert outcome(ev, text) == outcome(Evaluator(m2, mode=mode), text), (i, text)
+
+
+def test_compiling_asks_syntax_once_per_node(m2):
+    # every node of a deep conjunction is compiled, each with its free
+    # variables; they come from the children's, not from a walk of the subtree
+    phi = parse(" /\\ ".join(["P(x)", "P(y)"] * 25))
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename == syntax.__file__:
+            calls += 1
+
+    ev = Evaluator(m2)
+    sys.setprofile(count)
+    try:
+        ev.evaluate(phi, team("xy", ("a", "b"), ("b", "b")))
+    finally:
+        sys.setprofile(None)
+    assert count_nodes(phi) == 99
+    assert calls <= 8 * count_nodes(phi)
 
 
 def test_memoization_is_stable(m2):

@@ -1,6 +1,8 @@
 """Parser, pretty-printer, and formula-rewriting helpers."""
 
+import dataclasses
 import itertools
+import pickle
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -26,15 +28,20 @@ from teamsem.syntax import (
     TRUE,
     Var,
     count_nodes,
+    desugar_possibility,
     flatten,
     formula_signature,
     free_variables,
     is_clean,
     is_first_order,
     negate_fo,
+    sorted_free_variables,
     subformulas,
     substitute_vars,
 )
+from syntax_reference import reference_free_variables, reference_is_first_order
+from test_model import _fo_formulas as _engine_formulas
+from test_rewrite_goldens import corpora
 
 
 # --- parsing ---------------------------------------------------------------
@@ -232,6 +239,52 @@ _formulas = st.recursive(
 @given(_formulas)
 def test_pretty_parse_inverse(phi):
     assert parse(pretty(phi)) == phi
+
+
+# --- the facts each node keeps ----------------------------------------------
+
+
+def assert_facts_match_the_reference(phi):
+    for node in subformulas(phi):
+        want = reference_free_variables(node)
+        assert free_variables(node) == want, pretty(node)
+        assert sorted_free_variables(node) == tuple(sorted(want)), pretty(node)
+        assert is_first_order(node) == reference_is_first_order(node), pretty(node)
+
+
+@given(st.one_of(_formulas, _engine_formulas))
+def test_kept_facts_match_the_reference(phi):
+    assert_facts_match_the_reference(phi)
+
+
+def test_kept_facts_match_the_reference_on_the_rewrite_corpora():
+    for formulas in corpora().values():
+        for phi in formulas:
+            for form in (phi, flatten(phi), desugar_possibility(phi)):
+                assert_facts_match_the_reference(form)
+
+
+def test_kept_facts_stay_out_of_the_fields():
+    phi = parse("(E y. (restrict(dep(x; y) ; P(x)) \\/ poss(NE /\\ y = c))) /\\ (A z. T)", constants=("c",))
+    nodes = list(subformulas(phi))
+
+    def views():
+        return [(repr(n), hash(n), pretty(n), [f.name for f in dataclasses.fields(n)]) for n in nodes]
+
+    before = views()
+    for node in nodes:
+        free_variables(node), is_first_order(node)
+    assert views() == before
+    assert [f.name for f in dataclasses.fields(phi)] == ["left", "right"]
+    copy = pickle.loads(pickle.dumps(phi))
+    assert copy == phi and sorted_free_variables(copy) == ("x",) and not is_first_order(copy)
+
+
+def test_equal_free_variables_are_one_tuple():
+    phi = parse("(E y. (P(x) /\\ x = x)) \\/ poss(P(x))")
+    other = parse("A z. (z = x \\/ P(x))")
+    assert sorted_free_variables(phi) is sorted_free_variables(phi.left.body.right)
+    assert sorted_free_variables(phi) is sorted_free_variables(other) == ("x",)
 
 
 # --- structural helpers ----------------------------------------------------
