@@ -73,7 +73,7 @@ class AtomDefinition:
     downwards_closed: bool
     bound: int | None
     direct: Callable[[Model, frozenset[Row]], bool]
-    fo_definition: Formula | None
+    fo_definition: Formula
     verified: bool = True
 
     @property
@@ -631,8 +631,6 @@ def fo_definition_agrees(
 ) -> Counterexample | None:
     """Check the direct evaluator against Tarski truth of the defining
     sentence over all relations of size <= max_rel at small scale."""
-    if definition.fo_definition is None:
-        raise AtomError(f"atom {definition.name} has no first-order definition")
     truth = _truth_of(definition.fo_definition)
     for model, rel in _probes(definition.arity, max_dom, max_rel):
         if definition.direct(model, rel) != truth(model, rel):

@@ -85,9 +85,7 @@ MEMO_LIMIT = 200_000
 SPLIT_ROWS_LIMIT = 20  # the subteam tables of a split hold 2^rows entries
 
 
-def upward_fragment(
-    phi: Formula, registry: AtomRegistry, cache: dict[int, bool] | None = None
-) -> bool:
+def upward_fragment(phi: Formula, registry: AtomRegistry) -> bool:
     """True when every dependency atom in `phi` is upwards closed.
 
     This is the syntactic gate for the flattening-guided rewrites.
@@ -95,21 +93,14 @@ def upward_fragment(
     closed whatever its body does); restriction is judged by its body,
     since the guard is first-order.
     """
-    if cache is None:
-        cache = {}
-    got = cache.get(id(phi))
-    if got is not None:
-        return got
     if isinstance(phi, DepAtom):
-        out = registry.resolve_atom(phi).upwards_closed
-    elif isinstance(phi, Possibly):
-        out = True
-    else:
-        out = True
-        for part in _children(phi):  # a loop, so one frame per level
-            out = out and upward_fragment(part, registry, cache)
-    cache[id(phi)] = out
-    return out
+        return registry.resolve_atom(phi).upwards_closed
+    if isinstance(phi, Possibly):
+        return True
+    for part in _children(phi):  # a loop, so one frame per level
+        if not upward_fragment(part, registry):
+            return False
+    return True
 
 
 def _forces_constant(node: Exists) -> bool:
@@ -124,18 +115,14 @@ def _forces_constant(node: Exists) -> bool:
     inherited columns intact, so a column forced constant below is
     constant above as well.  It must not cross disjunctions, restriction,
     or possibility (those hold only on parts of the team)."""
-    stack = [node.body]
+    stack = list(_children(node))
     while stack:
         cur = stack.pop()
-        if isinstance(cur, And):
-            stack.append(cur.left)
-            stack.append(cur.right)
-        elif isinstance(cur, (Exists, Forall)):
-            if cur.var != node.var:
-                stack.append(cur.body)
-        elif isinstance(cur, DepAtom) and cur.name == "const":
-            if any(node.var in group for group in cur.groups):
+        if isinstance(cur, DepAtom):
+            if cur.name == "const" and any(node.var in group for group in cur.groups):
                 return True
+        elif isinstance(cur, And) or (isinstance(cur, (Exists, Forall)) and cur.var != node.var):
+            stack.extend(_children(cur))
     return False
 
 
@@ -191,7 +178,6 @@ class Evaluator:
         self.mode = mode
         self.stats = EvalStats()
         self._memo: dict[tuple, bool] = {}
-        self._upward: dict[int, bool] = {}
         # per (node id, vars): the compiled node, and a first-order node's rows
         self._compiled: dict[tuple, Callable[[int], bool]] = {}
         self._truths: dict[tuple, Callable[[int], int]] = {}
@@ -407,7 +393,7 @@ class Evaluator:
                 return False
 
             return covers
-        if self.mode == "fast" and upward_fragment(node, self.registry, self._upward):
+        if self.mode == "fast" and upward_fragment(node, self.registry):
             sat_l = self._satisfying(flatten(node.left), vars)
             sat_r = self._satisfying(flatten(node.right), vars)
 
@@ -482,7 +468,7 @@ class Evaluator:
         if self.mode != "fast":
             search = self._exists_by_subsets(node, body_vars)
             return lambda mask: search(duplicated(mask))
-        upward = upward_fragment(node.body, self.registry, self._upward)
+        upward = upward_fragment(node.body, self.registry)
         if not upward and _forces_constant(node):
             constants = [self._assign(vars, node.var, (value,))[1] for value in self.model.domain]
 
@@ -560,7 +546,7 @@ class Evaluator:
 
     def _possibly(self, node: Possibly, vars: tuple[str, ...]) -> Callable[[int], bool]:
         me, body = self._me, self._at(node.body, vars)
-        if self.mode == "fast" and upward_fragment(node.body, self.registry, self._upward):
+        if self.mode == "fast" and upward_fragment(node.body, self.registry):
             satisfying = self._satisfying(flatten(node.body), vars)
             return lambda mask: bool(kept := satisfying(mask)) and body(kept)
 

@@ -347,7 +347,6 @@ def generate_formulas(
 
     seen: dict[Formula, None] = dict.fromkeys(leaves)
     layer = list(seen)
-    gate_cache: dict[int, bool] = {}
     for _ in range(max_depth):
         lefts = _spread(layer, binary_cap)
         rights = list(
@@ -358,9 +357,7 @@ def generate_formulas(
             for b in rights:
                 fresh.append(Or(a, b))
                 fresh.append(And(a, b))
-        bodies = _spread(
-            [f for f in layer if upward_fragment(f, reg, gate_cache)], quant_cap
-        )
+        bodies = _spread([f for f in layer if upward_fragment(f, reg)], quant_cap)
         for v in vars:
             for body in bodies:
                 fresh.append(Exists(v, body))

@@ -223,19 +223,24 @@ def subformulas(phi: Formula) -> Iterator[Formula]:
         stack.extend(reversed(_children(node)))
 
 
+def _rebuilt(phi: Formula, parts: Iterable[Formula]) -> Formula:
+    """The inverse of `_children`: `phi` with its subformulas replaced by
+    `parts`, in `_children` order; a leaf comes back as itself."""
+    if isinstance(phi, (Exists, Forall)):
+        return type(phi)(phi.var, *parts)
+    if isinstance(phi, (Or, And, Possibly, RestrictedBy)):
+        return type(phi)(*parts)
+    return phi
+
+
 def map_formula(phi: Formula, fn: Callable[[Formula], Formula]) -> Formula:
     """Rebuild `phi` bottom-up and left to right, handing every node to
     `fn` once its parts are rebuilt; `fn`'s result takes the node's place.
     Rewrites that draw fresh names from `fn` draw them in that order."""
-    if isinstance(phi, (Or, And)):
-        phi = type(phi)(map_formula(phi.left, fn), map_formula(phi.right, fn))
-    elif isinstance(phi, (Exists, Forall)):
-        phi = type(phi)(phi.var, map_formula(phi.body, fn))
-    elif isinstance(phi, Possibly):
-        phi = Possibly(map_formula(phi.body, fn))
-    elif isinstance(phi, RestrictedBy):
-        phi = RestrictedBy(map_formula(phi.body, fn), map_formula(phi.guard, fn))
-    return fn(phi)
+    parts = []
+    for part in _children(phi):  # a loop, so one frame per level
+        parts.append(map_formula(part, fn))
+    return fn(_rebuilt(phi, parts))
 
 
 def count_nodes(phi: Formula) -> int:
@@ -321,18 +326,15 @@ def is_clean(phi: Formula) -> bool:
     """A formula is clean when every disjunction and every existential
     subformula is first-order, with restriction nodes (over clean bodies)
     as the only sanctioned non-first-order disjunctive shape."""
-    if is_first_order(phi):
+    if is_first_order(phi) or isinstance(phi, DepAtom):
         return True
-    if isinstance(phi, DepAtom):
-        return True
-    if isinstance(phi, And):
-        return is_clean(phi.left) and is_clean(phi.right)
-    if isinstance(phi, Forall):
-        return is_clean(phi.body)
-    if isinstance(phi, RestrictedBy):
-        return is_clean(phi.body)
-    # non-first-order Or, Exists, Possibly, literals are covered above
-    return False
+    # non-first-order Or, Exists, Possibly are not clean
+    if not isinstance(phi, (And, Forall, RestrictedBy)):
+        return False
+    for part in _children(phi):  # a loop, so one frame per level
+        if not is_clean(part):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -480,17 +482,14 @@ def substitute_vars(
     mapping: Mapping[str, Term],
     fresh: FreshNames,
     clash: Callable[[str, Mapping[str, Term]], bool] | None = None,
-    literal: Callable[[RelLit], Formula] | None = None,
 ) -> Formula:
     """Simultaneous substitution of free variable occurrences.
 
     A binder is renamed to a fresh name when `clash(binder, mapping below
     it)` holds; by default, when it would capture a substituted variable.
-    `literal`, when given, replaces each relation literal once its
-    arguments are substituted.  Fresh names are drawn in pre-order, left
-    to right."""
+    Fresh names are drawn in pre-order, left to right."""
     # Under the default rule nothing below an empty mapping changes.
-    lazy = clash is None and literal is None
+    lazy = clash is None
     clash = clash or _captures
 
     def term(t: Term, m: Mapping[str, Term]) -> Term:
@@ -505,30 +504,24 @@ def substitute_vars(
     def walk(node: Formula, m: dict[str, Term]) -> Formula:
         if lazy and not m:
             return node
-        if isinstance(node, BoolLit):
-            return node
         if isinstance(node, RelLit):
-            lit = RelLit(node.name, node.positive, tuple(term(t, m) for t in node.args))
-            return lit if literal is None else literal(lit)
+            return RelLit(node.name, node.positive, tuple(term(t, m) for t in node.args))
         if isinstance(node, EqLit):
             return EqLit(node.positive, term(node.left, m), term(node.right, m))
         if isinstance(node, DepAtom):
             groups = tuple(tuple(atom_var(v, m) for v in g) for g in node.groups)
             return DepAtom(node.name, groups, node.param)
-        if isinstance(node, (Or, And)):
-            return type(node)(walk(node.left, m), walk(node.right, m))
         if isinstance(node, (Exists, Forall)):
             below = {k: v for k, v in m.items() if k != node.var}
-            var = node.var
-            if clash(var, below):
+            if clash(node.var, below):
                 var = fresh.fresh()
                 below[node.var] = Var(var)
-            return type(node)(var, walk(node.body, below))
-        if isinstance(node, Possibly):
-            return Possibly(walk(node.body, m))
-        if isinstance(node, RestrictedBy):
-            return RestrictedBy(walk(node.body, m), walk(node.guard, m))
-        raise SyntaxViolation(f"unknown node {node!r}")
+                node = type(node)(var, *_children(node))
+            m = below
+        parts = []
+        for part in _children(node):  # a loop, so one frame per level
+            parts.append(walk(part, m))
+        return _rebuilt(node, parts)
 
     try:
         return walk(phi, dict(mapping))
@@ -574,6 +567,9 @@ _TOKEN_RE = re.compile(
 )
 
 _KEYWORDS = {"E", "A", "T", "F", "poss", "restrict"}
+# Open '(', 'poss(' and 'restrict(' allowed at once: each costs the parser
+# about four frames, so the bound keeps it well inside the recursion limit.
+_MAX_NESTING = 100
 
 
 @dataclass
@@ -603,6 +599,7 @@ class _Parser:
     def __init__(self, text: str, constants: frozenset[str], atom_names: frozenset[str]):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
         self.constants = constants
         self.atom_names = atom_names
 
@@ -619,6 +616,17 @@ class _Parser:
         if tok.kind != kind:
             raise ParseError(f"expected {kind!r}, found {tok.text!r}", tok.pos)
         return tok
+
+    def enter(self) -> None:
+        """Consume a '(' that opens a nested formula, bounding the nesting."""
+        tok = self.expect("lpar")
+        self.depth += 1
+        if self.depth > _MAX_NESTING:
+            raise ParseError(f"formula nests deeper than {_MAX_NESTING} parentheses", tok.pos)
+
+    def leave(self) -> _Token:
+        self.depth -= 1
+        return self.expect("rpar")
 
     def parse(self) -> Formula:
         phi = self.formula()
@@ -654,9 +662,9 @@ class _Parser:
     def atomic(self) -> Formula:
         tok = self.peek()
         if tok.kind == "lpar":
-            self.next()
+            self.enter()
             phi = self.formula()
-            self.expect("rpar")
+            self.leave()
             return phi
         if tok.kind == "bang":
             self.next()
@@ -681,17 +689,17 @@ class _Parser:
             return DepAtom("NE", ())
         if tok.text == "poss":
             self.next()
-            self.expect("lpar")
+            self.enter()
             body = self.formula()
-            self.expect("rpar")
+            self.leave()
             return Possibly(body)
         if tok.text == "restrict":
             self.next()
-            self.expect("lpar")
+            self.enter()
             body = self.formula()
             self.expect("semi")
             guard = self.formula()
-            rp = self.expect("rpar")
+            rp = self.leave()
             if not is_first_order(guard):
                 raise ParseError("restriction guard must be first-order", rp.pos)
             return RestrictedBy(body, guard)

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .atoms import ATOM_REL, AtomRegistry, DEFAULT_REGISTRY
+from .atoms import AtomRegistry, DEFAULT_REGISTRY
 from .syntax import (
     And,
     DepAtom,
@@ -47,6 +47,8 @@ from .syntax import (
     RESERVED_PREFIX,
     RestrictedBy,
     Var,
+    _children,
+    _rebuilt,
     all_variable_names,
     ands,
     constant_names,
@@ -190,31 +192,30 @@ def to_clean(phi: Formula, registry: AtomRegistry | None = None) -> Formula:
 
 
 def _clean(phi: Formula) -> Formula:
-    if is_first_order(phi):
+    if is_first_order(phi) or isinstance(phi, DepAtom):
         return phi
-    if isinstance(phi, DepAtom):
-        return phi
-    if isinstance(phi, And):
-        return And(_clean(phi.left), _clean(phi.right))
-    if isinstance(phi, Forall):
-        return Forall(phi.var, _clean(phi.body))
-    if isinstance(phi, RestrictedBy):
-        return RestrictedBy(_clean(phi.body), phi.guard)
+    if isinstance(phi, (And, Forall, RestrictedBy)):
+        # a restriction's guard is first-order, so it cleans to itself
+        parts = []
+        for part in _children(phi):  # a loop, so one frame per level
+            parts.append(_clean(part))
+        return _rebuilt(phi, parts)
     if isinstance(phi, Or):
-        guard_l = flatten(phi.left)
-        guard_r = flatten(phi.right)
+        left, right = _children(phi)
+        guard_l, guard_r = flatten(left), flatten(right)
         return ands(
             [
                 Or(guard_l, guard_r),
-                RestrictedBy(_clean(phi.left), guard_l),
-                RestrictedBy(_clean(phi.right), guard_r),
+                RestrictedBy(_clean(left), guard_l),
+                RestrictedBy(_clean(right), guard_r),
             ]
         )
     if isinstance(phi, Exists):
-        guard = flatten(phi.body)
+        (body,) = _children(phi)
+        guard = flatten(body)
         return And(
             Exists(phi.var, guard),
-            Forall(phi.var, RestrictedBy(_clean(phi.body), guard)),
+            Forall(phi.var, RestrictedBy(_clean(body), guard)),
         )
     if isinstance(phi, Possibly):
         raise TranslationError("possibility must be desugared before cleaning")
@@ -286,12 +287,8 @@ def build_fo_sentence(
                 names, Or(team(row, False), substitute_vars(node, renamed, fresh))
             )
         if isinstance(node, DepAtom):
-            d = reg.resolve_atom(node)
-            if d.fo_definition is None:
-                raise TranslationError(f"atom {node.name} has no first-order definition")
-
-            def project(lit: RelLit) -> Formula:
-                if lit.name != ATOM_REL:
+            def project(lit: Formula) -> Formula:
+                if not isinstance(lit, RelLit):
                     return lit
                 # the definition's relation holds of the arguments iff
                 # some team row projects onto them
@@ -300,7 +297,7 @@ def build_fo_sentence(
                 core = exists_chain(names, ands([eq_tuple(lit.args, zs), team(row, True)]))
                 return core if lit.positive else negate_fo(core)
 
-            return substitute_vars(d.fo_definition, {}, fresh, literal=project)
+            return map_formula(reg.resolve_atom(node).fo_definition, project)
         if isinstance(node, And):
             return And(build(node.left, tup, team), build(node.right, tup, team))
         if isinstance(node, Forall):
@@ -400,8 +397,6 @@ def translate(
                 raise TranslationError(
                     f"atom {d.name} is not upwards closed and has no definable rewrite"
                 )
-            if d.fo_definition is None:
-                raise TranslationError(f"atom {d.name} has no first-order definition")
 
     fresh = FreshNames(all_variable_names(phi) | set(tuple_vars))
 

@@ -1,5 +1,6 @@
 """The dependency-atom registry: direct semantics, flags, bounds, customs."""
 
+import dataclasses
 import itertools
 
 from hypothesis import given
@@ -166,6 +167,13 @@ def test_fo_definition_agrees_with_direct(name):
     # suite re-runs this at the full declared scale.
     scale = dict(max_dom=2, max_rel=3) if len(widths) == 3 else dict(max_dom=3, max_rel=4)
     assert fo_definition_agrees(d, **scale) is None
+
+
+def test_fo_definition_agrees_finds_a_wrong_direct_evaluator():
+    always = dataclasses.replace(resolve("dep", (1, 1)), direct=lambda model, rel: True)
+    ce = fo_definition_agrees(always, max_dom=2, max_rel=2)
+    assert ce is not None
+    assert not resolve("dep", (1, 1)).direct(ce.model, ce.relation)
 
 
 def test_fo_definition_on_empty_relation():

@@ -116,6 +116,13 @@ def test_parse_error_exit_code(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_parse_too_deeply_nested_is_an_error_not_a_crash(capsys):
+    # past about 245 levels the parser's recursion would overflow the stack
+    assert main(["parse", "(" * 246 + "P(x)" + ")" * 246]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "nests deeper" in err and "Traceback" not in err
+
+
 # --- eval -------------------------------------------------------------------
 
 

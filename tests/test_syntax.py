@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import pickle
+import sys
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -27,6 +28,10 @@ from teamsem.syntax import (
     SyntaxViolation,
     TRUE,
     Var,
+    _MAX_NESTING,
+    _children,
+    _rebuilt,
+    ands,
     count_nodes,
     desugar_possibility,
     flatten,
@@ -34,11 +39,13 @@ from teamsem.syntax import (
     free_variables,
     is_clean,
     is_first_order,
+    map_formula,
     negate_fo,
     sorted_free_variables,
     subformulas,
     substitute_vars,
 )
+from teamsem.translator import to_clean, translate
 from syntax_reference import reference_free_variables, reference_is_first_order
 from test_model import _fo_formulas as _engine_formulas
 from test_rewrite_goldens import corpora
@@ -116,6 +123,20 @@ def test_parse_unknown_callable_is_a_relation():
 def test_parse_errors(bad):
     with pytest.raises(ParseError):
         parse(bad)
+
+
+@pytest.mark.parametrize("opening, closing", [("(", ")"), ("poss(", ")"), ("restrict(", " ; T)")])
+def test_parse_bounds_the_nesting(opening, closing):
+    def nest(depth):
+        return opening * depth + "P(x)" + closing * depth
+
+    assert free_variables(parse(nest(_MAX_NESTING))) == {"x"}
+    with pytest.raises(ParseError, match="nests deeper"):
+        parse(nest(_MAX_NESTING + 1))
+
+
+def test_parse_leaves_quantifier_prefixes_unbounded():
+    assert free_variables(parse("E y. " * (2 * _MAX_NESTING) + "P(x)")) == {"x"}
 
 
 def _atom_text(name, groups, param):
@@ -280,6 +301,51 @@ def test_kept_facts_stay_out_of_the_fields():
     assert copy == phi and sorted_free_variables(copy) == ("x",) and not is_first_order(copy)
 
 
+# --- the one walk: `_children` and its inverse ------------------------------------
+
+
+def _identity(node):
+    return node
+
+
+def assert_rebuilds(phi):
+    for node in subformulas(phi):
+        parts = _children(node)
+        assert _rebuilt(node, parts) == node, pretty(node)
+        assert map_formula(node, _identity) == node, pretty(node)
+        if not parts:  # a leaf comes back as itself, not as a copy
+            assert _rebuilt(node, parts) is node
+            assert map_formula(node, _identity) is node
+
+
+@given(st.one_of(_formulas, _engine_formulas))
+def test_rebuilding_from_the_children_round_trips(phi):
+    assert_rebuilds(phi)
+
+
+def test_rebuilding_from_the_children_round_trips_on_the_rewrite_corpora():
+    for formulas in corpora().values():
+        for phi in formulas:
+            assert_rebuilds(phi)
+
+
+@pytest.mark.parametrize(
+    "walk, leaf",
+    [
+        (flatten, "P(x)"),
+        (lambda phi: substitute_vars(phi, {"x": Var("y")}, FreshNames()), "P(x)"),
+        (is_clean, "NE"),
+        (to_clean, "NE"),
+        (lambda phi: translate(phi, ()), "NE"),
+    ],
+    ids=["flatten", "substitute_vars", "is_clean", "to_clean", "translate"],
+)
+def test_walks_take_one_frame_per_level(walk, leaf):
+    # a comprehension, `map` or `all` in a walker adds a frame per level
+    assert sys.getrecursionlimit() == 1000
+    assert walk(ands([parse(leaf)] * 950)) is not None
+
+
 def test_equal_free_variables_are_one_tuple():
     phi = parse("(E y. (P(x) /\\ x = x)) \\/ poss(P(x))")
     other = parse("A z. (z = x \\/ P(x))")
@@ -331,6 +397,13 @@ def test_substitute_capture_avoidance():
     # The binder must be renamed so the substituted y stays free.
     assert free_variables(got) == {"y"}
     assert got != parse("E y. y = y")
+
+
+def test_substitute_renames_a_binder_inside_possibility():
+    fresh = FreshNames(["x", "y"])
+    got = substitute_vars(parse("poss(E y. x = y)"), {"x": Var("y")}, fresh)
+    assert got == parse("poss(E _v0. y = _v0)")
+    assert free_variables(got) == {"y"}
 
 
 def test_negate_fo():

@@ -303,6 +303,15 @@ def test_simplify_preserves_equivalence():
             )
 
 
+def test_translate_renames_the_team_relation_past_the_atom_relation():
+    # the input uses R, so the team relation is R0 while the atom's
+    # definition still speaks about R
+    phi = parse("R(x) /\\ nonexcl(x; y)")
+    assert translate(phi, ("x", "y")).relation == "R0"
+    report = check_translation_equivalence(phi, ("x", "y"), GridConfig((2,), 2))
+    assert report.ok and report.checked == 44
+
+
 def test_compiling_substituting_and_translating_leave_no_cycles(m2):
     # recursive walks must not leave work for the cycle collector
     calls = [
