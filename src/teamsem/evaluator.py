@@ -20,26 +20,32 @@ unsound for them (an existential over a constancy atom is the canonical
 counterexample), even though constancy is harmless in other pipelines.
 
 Inside an `Evaluator` a team is `(vars, mask)`: each row gets the next
-free bit when the evaluator first meets it, so a mask is as wide as the
-rows seen so far, not |dom|^|vars|; searches walk the set bits in sorted-row
-order, while restriction and duplication images are unions taken in bit
-order.  No `Team` is built past `evaluate` and `witness`: a dependency atom
-runs its direct evaluator on the rows of its projected mask, once per
-projection, and naive mode's choice functions are unions of row images.
+free bit among the rows of its width when the evaluator first meets it, so
+a mask is as wide as the rows of its width seen so far, not |dom|^|vars|;
+searches walk the set bits in sorted-row order, while restriction and
+duplication images are unions taken in bit order.  No `Team` is built past
+`evaluate` and `witness`: a dependency atom runs its direct evaluator on
+the rows of its projected mask, once per projection, and naive mode's
+choice functions are unions of row images.
 
-Each node is compiled on first use, once per `(node, vars)`, into a
-function of masks that reads and fills the memo, keeps the counters and
-calls its children's functions directly; the strategy is settled then, not
-per call.  Restriction and duplication are cached per whole mask, and a
-first-order node keeps a mask of the rows whose truth is known and one of
-those where it holds, so the engine runs once per row.  A split by subteam
-tables over more than `SPLIT_ROWS_LIMIT` rows is an `EvalError`.
+Each node is compiled on first use, once per `(node, vars)`, into one
+function of masks that reads and fills the node's own memo, keeps the
+counters and calls its children's functions directly, a conjunction both
+of them, so a chain of conjunctions costs one stack frame per level; the
+strategy is settled then, not per call.  Restriction and duplication are
+cached per whole mask, and a first-order node keeps a mask of the rows
+whose truth is known and one of those where it holds, so the engine runs
+once per row.  A split by subteam tables over more than `SPLIT_ROWS_LIMIT`
+rows is an `EvalError`, and so are a witness search over more than
+2^`SPLIT_ROWS_LIMIT` covers or subteams and a formula too deep for the
+interpreter's stack.
 """
 
 from __future__ import annotations
 
 import itertools
 import weakref
+from collections import defaultdict
 from dataclasses import asdict, dataclass
 from typing import Callable, Iterator
 
@@ -83,6 +89,7 @@ from .syntax import (
 MODES = ("naive", "oracle", "fast")
 MEMO_LIMIT = 200_000
 SPLIT_ROWS_LIMIT = 20  # the subteam tables of a split hold 2^rows entries
+_TOO_DEEP = "the formula nests too deeply to evaluate"
 
 
 def upward_fragment(phi: Formula, registry: AtomRegistry) -> bool:
@@ -141,7 +148,26 @@ def _subteam_masks(bits: list[int]) -> Iterator[int]:
         yield sub
 
 
-@dataclass
+def _bits(mask: int, row_of: dict[int, Row]) -> list[int]:
+    """The set bits of `mask`, in sorted-row order; `row_of` maps the bits
+    of the rows of one width to the rows."""
+    if not mask & (mask - 1):
+        return [mask] if mask else []
+    out = []
+    while mask:
+        out.append(mask & -mask)
+        mask &= mask - 1
+    out.sort(key=row_of.__getitem__)
+    return out
+
+
+def _searchable(count: int, what: str) -> None:
+    """A witness search may try at most 2^`SPLIT_ROWS_LIMIT` candidates."""
+    if count > 1 << SPLIT_ROWS_LIMIT:
+        raise EvalError(f"a witness search over {count} {what} passes the limit of 2^{SPLIT_ROWS_LIMIT}")
+
+
+@dataclass(slots=True)
 class EvalStats:
     nodes: int = 0
     memo_hits: int = 0
@@ -158,11 +184,13 @@ class EvalStats:
 class Evaluator:
     """Evaluates formulas on teams over a fixed model.
 
-    One instance per (model, strategy); memoization is keyed by subformula
-    identity and team, so sweeping many teams against one formula reuses
-    work.  Node ids key a table only at or below a compiled node, which its
-    entry keeps alive.  The memo stops growing at `MEMO_LIMIT` entries, and
-    so does each table of team images or of atom verdicts.
+    One instance per (model, strategy); each compiled node keeps a memo
+    keyed by mask, so sweeping many teams against one formula reuses work.
+    Node ids key a table only at or below a compiled node, which its entry
+    keeps alive.  The memos of all nodes together stop growing at
+    `MEMO_LIMIT` entries, and so does each table of team images or of atom
+    verdicts.  The compiled functions reach the counters through a one-slot
+    box behind `stats`, and the evaluator only through a weak proxy.
     """
 
     def __init__(
@@ -176,24 +204,38 @@ class Evaluator:
         self.model = model
         self.registry = registry or DEFAULT_REGISTRY
         self.mode = mode
-        self.stats = EvalStats()
-        self._memo: dict[tuple, bool] = {}
-        # per (node id, vars): the compiled node, and a first-order node's rows
+        self._box = [EvalStats()]
+        self._entries = [0]  # memo entries over all nodes
+        # per (node id, vars): the compiled node, the memo of a node compiled
+        # over its own columns, and a first-order node's rows
         self._compiled: dict[tuple, Callable[[int], bool]] = {}
+        self._memos: dict[tuple, dict[int, bool]] = {}
         self._truths: dict[tuple, Callable[[int], int]] = {}
-        # row indexing: row <-> bit, and team images per operation
+        # row indexing: row -> bit, bit -> row per row width, and team
+        # images per operation, each with its table
         self._domain = set(model.domain)
         self._bit_of: dict[Row, int] = {}
-        self._row_of: dict[int, Row] = {}
-        self._images: dict[tuple, Callable[[int], int]] = {}
+        self._row_of: defaultdict[int, dict[int, Row]] = defaultdict(dict)
+        self._images: dict[tuple, tuple[dict[int, int], Callable[[int], int]]] = {}
         # what the compiled functions use of the evaluator: a strong
         # reference would make a cycle that only the collector frees
         self._me = weakref.proxy(self)
 
+    @property
+    def stats(self) -> EvalStats:
+        return self._box[0]
+
+    @stats.setter
+    def stats(self, stats: EvalStats) -> None:
+        self._box[0] = stats
+
     # -- public API ---------------------------------------------------------
 
     def evaluate(self, phi: Formula, team: Team) -> bool:
-        return self._at(phi, team.vars)(self._mask(team.rows))
+        try:
+            return self._at(phi, team.vars)(self._mask(team.rows))
+        except RecursionError:
+            raise EvalError(_TOO_DEEP) from None
 
     def sentence_true(self, phi: Formula) -> bool:
         """Truth of a sentence: evaluation on the team of the single empty
@@ -211,36 +253,31 @@ class Evaluator:
     # -- rows and masks ------------------------------------------------------
 
     def _bit(self, row: Row) -> int:
-        """The bit of `row`, the next free one when `row` is new."""
+        """The bit of `row`, the next free one among rows of its width when
+        `row` is new."""
         got = self._bit_of.get(row)
         if got is None:
             if not self._domain.issuperset(row):
                 raise EvalError(f"team row {row} leaves the model domain")
-            got = self._bit_of[row] = 1 << len(self._bit_of)
-            self._row_of[got] = row
+            row_of = self._row_of[len(row)]
+            got = self._bit_of[row] = 1 << len(row_of)
+            row_of[got] = row
         return got
 
     def _mask(self, rows) -> int:
         return sum(map(self._bit, rows))
 
-    def _bits(self, mask: int) -> list[int]:
-        """The set bits of `mask`, in sorted-row order."""
-        out = []
-        while mask:
-            out.append(mask & -mask)
-            mask &= mask - 1
-        out.sort(key=self._row_of.__getitem__)
-        return out
+    def _rows(self, mask: int, width: int) -> list[Row]:
+        row_of = self._row_of[width]
+        return [row_of[b] for b in _bits(mask, row_of)]
 
-    def _rows(self, mask: int) -> list[Row]:
-        return [self._row_of[b] for b in self._bits(mask)]
-
-    def _image(self, key: tuple, image: Callable[[Row], int]) -> Callable[[int], int]:
-        """The map from a mask to the union of `image(row)` over its rows,
-        kept once per `key`; it caches whole masks, and a row's image
-        under the row's own bit.  A union does not depend on order, so the
-        rows are taken in bit order, unsorted."""
-        me, table = self._me, {}
+    def _image(self, key: tuple, width: int, image: Callable[[Row], int]) -> tuple[dict, Callable[[int], int]]:
+        """The map from a mask over rows of `width` to the union of
+        `image(row)` over its rows, kept once per `key` with its table; the
+        table holds whole masks, and a row's image under the row's own bit,
+        so a caller may look a mask up itself first.  A union does not
+        depend on order, so the rows are taken in bit order, unsorted."""
+        row_of, table = self._row_of[width], {}
 
         def apply(mask: int) -> int:
             out = table.get(mask)
@@ -251,7 +288,7 @@ class Evaluator:
                     rest ^= b
                     one = table.get(b)
                     if one is None:
-                        one = image(me._row_of[b])
+                        one = image(row_of[b])
                         if len(table) < MEMO_LIMIT:
                             table[b] = one
                     out |= one
@@ -259,18 +296,23 @@ class Evaluator:
                     table[mask] = out
             return out
 
-        return self._images.setdefault(key, apply)
+        return self._images.setdefault(key, (table, apply))
 
-    def _restrict(self, vars: tuple[str, ...], to: tuple[str, ...]) -> Callable[[int], int]:
-        """X restricted to the columns `to`."""
-        me, idx = self._me, [vars.index(v) for v in to]
-        return self._image((vars, to), lambda row: me._bit(tuple(row[i] for i in idx)))
+    def _restrict(self, vars: tuple[str, ...], to: tuple[str, ...]) -> tuple[dict, Callable[[int], int]]:
+        """X restricted to the columns `to`, with its table."""
+        me, bit_of, idx = self._me, self._bit_of, [vars.index(v) for v in to]
+
+        def image(row: Row) -> int:
+            sub = tuple([row[i] for i in idx])
+            return bit_of.get(sub) or me._bit(sub)
+
+        return self._image((vars, to), len(vars), image)
 
     def _assign(self, vars: tuple[str, ...], var: str, values) -> tuple[tuple[str, ...], Callable[[int], int]]:
         """X[values/var]: every row extended with, or overwritten by, each value."""
         me, i = self._me, vars.index(var) if var in vars else len(vars)
         image = lambda row: sum({me._bit(row[:i] + (m,) + row[i + 1 :]) for m in values})  # noqa: E731
-        return vars[:i] + (var,) + vars[i + 1 :], self._image((vars, var, tuple(values)), image)
+        return vars[:i] + (var,) + vars[i + 1 :], self._image((vars, var, tuple(values)), len(vars), image)[1]
 
     # -- first-order nodes -------------------------------------------------------
 
@@ -280,15 +322,15 @@ class Evaluator:
         masks hold the rows whose truth is known and the rows where it is
         true; the engine, compiled on first use, runs only on rows not yet
         known, in sorted-row order."""
-        me, run, masks = self._me, None, [0, 0]
+        box, model, row_of, run, masks = self._box, self.model, self._row_of[len(vars)], None, [0, 0]
 
         def satisfying(mask: int) -> int:  # its closure pins `phi`
             nonlocal run
-            me.stats.tarski_rows += mask.bit_count()
+            box[0].tarski_rows += mask.bit_count()
             if mask & ~masks[0]:
-                run = run or compile_fo(me.model, phi, vars)
-                for b in me._bits(mask & ~masks[0]):
-                    masks[1] |= b if run(me._row_of[b]) else 0
+                run = run or compile_fo(model, phi, vars)
+                for b in _bits(mask & ~masks[0], row_of):
+                    masks[1] |= b if run(row_of[b]) else 0
                     masks[0] |= b
             return mask & masks[1]
 
@@ -297,11 +339,8 @@ class Evaluator:
     # -- compiled nodes ----------------------------------------------------------
 
     def _at(self, node: Formula, vars: tuple[str, ...]) -> Callable[[int], bool]:
-        """`node` compiled to a function of masks over `vars`, once per
-        (node, vars): it reads and fills the memo, counts, and runs the
-        node's body, built on first use.  In fast mode it restricts the
-        mask to the node's free variables first.  Only a root can fail to
-        cover its free variables."""
+        """`node` compiled to one function of masks over `vars`, once per
+        (node, vars).  Only a root can fail to cover its free variables."""
         got = self._compiled.get((id(node), vars))
         if got is None:
             missing = [v for v in sorted_free_variables(node) if v not in vars]
@@ -311,57 +350,78 @@ class Evaluator:
         return got
 
     def _compile(self, node: Formula, vars: tuple[str, ...]) -> Callable[[int], bool]:
-        fv = sorted_free_variables(node) if self.mode == "fast" else vars
+        """In fast mode a node over more columns than its free variables
+        restricts the mask and looks it up in the memo of the node over its
+        free variables, whose function runs on a miss only.  Any other node
+        reads and fills its own memo and counts, and on a miss runs its
+        body, built on first use; a conjunction calls its children from
+        here, so a chain of conjunctions costs one frame per level."""
+        box, fv = self._box, sorted_free_variables(node) if self.mode == "fast" else vars
         if fv != vars:
-            inner, restricted = self._at(node, fv), self._restrict(vars, fv)
-            return lambda mask: inner(restricted(mask))
-        me, memo, nid, body = self._me, self._memo, id(node), None
+            inner, memo = self._at(node, fv), self._memos[id(node), fv]
+            table, restricted = self._restrict(vars, fv)
+
+            def narrowed(mask: int) -> bool:
+                sub = table.get(mask)
+                if sub is None:
+                    sub = restricted(mask)
+                hit = memo.get(sub)
+                if hit is None:
+                    return inner(sub)
+                box[0].memo_hits += 1
+                return hit
+
+            return narrowed
+        me, entries, first, second = self._me, self._entries, None, None
+        memo = self._memos[id(node), vars] = {}
 
         def run(mask: int) -> bool:
-            nonlocal body
-            key = (nid, vars, mask)
-            hit = memo.get(key)
+            nonlocal first, second
+            hit = memo.get(mask)
             if hit is not None:
-                me.stats.memo_hits += 1
+                box[0].memo_hits += 1
                 return hit
-            stats = me.stats
+            stats = box[0]
             stats.nodes += 1
-            if mask.bit_count() > stats.max_team_rows:
-                stats.max_team_rows = mask.bit_count()
-            body = body or me._body(node, vars)
-            out = body(mask)
-            if len(memo) < MEMO_LIMIT:
-                memo[key] = out
+            if (n := mask.bit_count()) > stats.max_team_rows:
+                stats.max_team_rows = n
+            if first is None:
+                if isinstance(node, And):
+                    first, second = me._at(node.left, vars), me._at(node.right, vars)
+                else:
+                    first = me._body(node, vars)
+            out = first(mask) and (second is None or second(mask))
+            if entries[0] < MEMO_LIMIT:
+                memo[mask] = out
+                entries[0] += 1
             return out
 
         return run
 
     def _body(self, node: Formula, vars: tuple[str, ...]) -> Callable[[int], bool]:
-        """`node` on masks over `vars`, past the memo."""
-        me = self._me
+        """`node`, other than a conjunction, on masks over `vars`, past the memo."""
+        me, row_of = self._me, self._row_of[len(vars)]
         if isinstance(node, BoolLit):
             return lambda mask: node.value or not mask
         if isinstance(node, (RelLit, EqLit)):
             # row by row in sorted order, stopping at the first false one
             satisfying = self._satisfying(node, vars)
-            return lambda mask: all(satisfying(b) for b in me._bits(mask))
+            return lambda mask: all(satisfying(b) for b in _bits(mask, row_of))
         if isinstance(node, DepAtom):
             # the direct evaluator on the projection, decided once per projection
-            direct, project, verdicts = self.registry.resolve_atom(node).direct, self._restrict(vars, node.args), {}
+            direct, model, verdicts = self.registry.resolve_atom(node).direct, self.model, {}
+            project, width = self._restrict(vars, node.args)[1], len(node.args)
 
             def atom(mask: int) -> bool:
                 rel = project(mask)
                 out = verdicts.get(rel)
                 if out is None:
-                    out = direct(me.model, frozenset(me._rows(rel)))
+                    out = direct(model, frozenset(me._rows(rel, width)))
                     if len(verdicts) < MEMO_LIMIT:
                         verdicts[rel] = out
                 return out
 
             return atom
-        if isinstance(node, And):
-            left, right = self._at(node.left, vars), self._at(node.right, vars)
-            return lambda mask: left(mask) and right(mask)
         if isinstance(node, Forall):
             body_vars, duplicated = self._assign(vars, node.var, self.model.domain)
             body = self._at(node.body, body_vars)
@@ -382,12 +442,13 @@ class Evaluator:
     # -- disjunction ----------------------------------------------------------
 
     def _split(self, node: Or, vars: tuple[str, ...]) -> Callable[[int], bool]:
-        me, left, right = self._me, self._at(node.left, vars), self._at(node.right, vars)
+        me, box, row_of = self._me, self._box, self._row_of[len(vars)]
+        left, right = self._at(node.left, vars), self._at(node.right, vars)
         if self.mode == "naive":
 
             def covers(mask: int) -> bool:
-                for part_l, part_r in cover_parts(me._bits(mask)):
-                    me.stats.covers += 1
+                for part_l, part_r in cover_parts(_bits(mask, row_of)):
+                    box[0].covers += 1
                     if left(sum(part_l)) and right(sum(part_r)):
                         return True
                 return False
@@ -401,7 +462,7 @@ class Evaluator:
                 # row by row in sorted order, so the scan stops (and an
                 # engine error surfaces) where it always did
                 parts_l = parts_r = 0
-                for b in me._bits(mask):
+                for b in _bits(mask, row_of):
                     in_l, in_r = sat_l(b), sat_r(b)
                     if not (in_l or in_r):
                         return False
@@ -410,17 +471,17 @@ class Evaluator:
                 return left(parts_l) and right(parts_r)
 
             return guided
-        return lambda mask: me._split_by_tables(left, right, mask)
+        return lambda mask: me._split_by_tables(left, right, _bits(mask, row_of))
 
-    def _split_by_tables(self, left: Callable, right: Callable, mask: int) -> bool:
-        n = mask.bit_count()
+    def _split_by_tables(self, left: Callable, right: Callable, bits: list[int]) -> bool:
+        n = len(bits)
         if n > SPLIT_ROWS_LIMIT:
             raise EvalError(
                 f"a split over {n} rows needs tables of 2^{n} subteams; the limit is {SPLIT_ROWS_LIMIT} rows"
             )
         sat_left = []
         sat_right_closed = bytearray(1 << n)
-        for local, sub in enumerate(_subteam_masks(self._bits(mask))):
+        for local, sub in enumerate(_subteam_masks(bits)):
             self.stats.subsets += 1
             if left(sub):
                 sat_left.append(local)
@@ -441,7 +502,7 @@ class Evaluator:
     # -- existential ------------------------------------------------------------
 
     def _exists(self, node: Exists, vars: tuple[str, ...]) -> Callable[[int], bool]:
-        me = self._me
+        box, row_of = self._box, self._row_of[len(vars)]
         body_vars, duplicated = self._assign(vars, node.var, self.model.domain)
         body = self._at(node.body, body_vars)
         if self.mode == "naive":
@@ -455,8 +516,8 @@ class Evaluator:
 
             def choices(mask: int) -> bool:
                 # a choice function picks one image per row, rows in sorted order
-                for pick in itertools.product(*([image(b) for image in images] for b in me._bits(mask))):
-                    me.stats.choices += 1
+                for pick in itertools.product(*([image(b) for image in images] for b in _bits(mask, row_of))):
+                    box[0].choices += 1
                     sub = 0
                     for one in pick:
                         sub |= one
@@ -474,7 +535,7 @@ class Evaluator:
 
             def constant(mask: int) -> bool:
                 for assigned in constants:
-                    me.stats.choices += 1
+                    box[0].choices += 1
                     if body(assigned(mask)):
                         return True
                 return False
@@ -496,7 +557,7 @@ class Evaluator:
         """Does every assignment of a team survive, for some value of
         `var`, into `sub` (a subteam of the duplicated team)?"""
         rest = tuple(v for v in vars if v != var)
-        of_team, of_sub = self._restrict(vars, rest), self._restrict(sub_vars, rest)
+        of_team, of_sub = self._restrict(vars, rest)[1], self._restrict(sub_vars, rest)[1]
         return lambda mask, sub: not of_team(mask) & ~of_sub(sub)
 
     def _exists_by_subsets(self, node: Exists, vars: tuple[str, ...]) -> Callable[[int], bool]:
@@ -507,11 +568,11 @@ class Evaluator:
         rows with lowest bit `low` jumps to `(local | low) & ~(low - 1)`:
         each mask in between shares its bits above `low` and lacks `low`, so
         it misses the group too."""
-        me, body = self._me, self._at(node.body, vars)
-        origin = self._restrict(vars, tuple(v for v in vars if v != node.var))
+        box, row_of, body = self._box, self._row_of[len(vars)], self._at(node.body, vars)
+        origin = self._restrict(vars, tuple(v for v in vars if v != node.var))[1]
 
         def search(doubled: int) -> bool:
-            bits = me._bits(doubled)
+            bits = _bits(doubled, row_of)
             # group the duplicated rows, as local bits, by originating assignment
             groups: dict[int, int] = {}
             for k, b in enumerate(bits):
@@ -519,7 +580,7 @@ class Evaluator:
                 groups[row] = groups.get(row, 0) | 1 << k
             # the group with the highest lowest bit first: it gives the largest jump
             lows = sorted(((g & -g, g) for g in groups.values()), reverse=True)
-            stats, local, end = me.stats, 0, 1 << len(bits)
+            stats, local, end = box[0], 0, 1 << len(bits)
             while local < end:
                 for low, g in lows:
                     if not local & g:
@@ -545,16 +606,19 @@ class Evaluator:
     # -- possibility ------------------------------------------------------------
 
     def _possibly(self, node: Possibly, vars: tuple[str, ...]) -> Callable[[int], bool]:
-        me, body = self._me, self._at(node.body, vars)
+        box, row_of, body = self._box, self._row_of[len(vars)], self._at(node.body, vars)
         if self.mode == "fast" and upward_fragment(node.body, self.registry):
             satisfying = self._satisfying(flatten(node.body), vars)
             return lambda mask: bool(kept := satisfying(mask)) and body(kept)
 
         def search(mask: int) -> bool:
-            for rows in subsets(me._rows(mask), low=1):
-                me.stats.subsets += 1
-                if body(me._mask(rows)):
-                    return True
+            # the nonempty subteams, smallest first, as `subsets` orders rows
+            bits = _bits(mask, row_of)
+            for size in range(1, len(bits) + 1):
+                for picked in itertools.combinations(bits, size):
+                    box[0].subsets += 1
+                    if body(sum(picked)):
+                        return True
             return False
 
         return search
@@ -563,28 +627,42 @@ class Evaluator:
 
     def witness(self, phi: Formula, team: Team) -> dict | None:
         """A one-level explanation of why `phi` holds on `team` (None when
-        it does not hold, or when the node carries no choice to report)."""
+        it does not hold, or when the node carries no choice to report).
+        A search that would try more than 2^`SPLIT_ROWS_LIMIT` splits or
+        subteams is an `EvalError`."""
+        try:
+            return self._witness(phi, team)
+        except RecursionError:
+            raise EvalError(_TOO_DEEP) from None
+
+    def _witness(self, phi: Formula, team: Team) -> dict | None:
         if not self.evaluate(phi, team):
             return None
         vars, mask = team.vars, self._mask(team.rows)
         listed = lambda rows: [list(r) for r in sorted(rows)]  # noqa: E731
         if isinstance(phi, Or):
+            rows = self._rows(mask, len(vars))
+            _searchable(3 ** len(rows), "splits")
             left, right = self._at(phi.left, vars), self._at(phi.right, vars)
-            for part_l, part_r in cover_parts(self._rows(mask)):
+            for part_l, part_r in cover_parts(rows):
                 if left(self._mask(part_l)) and right(self._mask(part_r)):
                     return {"kind": "split", "left": listed(part_l), "right": listed(part_r)}
         if isinstance(phi, Exists):
             doubled_vars, duplicated = self._assign(vars, phi.var, self.model.domain)
             body, covers = self._at(phi.body, doubled_vars), self._covers(vars, doubled_vars, phi.var)
-            for rows in subsets(self._rows(duplicated(mask))):
+            doubled = self._rows(duplicated(mask), len(doubled_vars))
+            _searchable(2 ** len(doubled), "subteams")
+            for rows in subsets(doubled):
                 sub = self._mask(rows)
                 if covers(mask, sub) and body(sub):
                     return {"kind": "choice", "vars": list(doubled_vars), "rows": listed(rows)}
         if isinstance(phi, Possibly):
+            rows = self._rows(mask, len(vars))
+            _searchable(2 ** len(rows) - 1, "subteams")
             body = self._at(phi.body, vars)
-            for rows in subsets(self._rows(mask), low=1):
-                if body(self._mask(rows)):
-                    return {"kind": "subteam", "rows": listed(rows)}
+            for picked in subsets(rows, low=1):
+                if body(self._mask(picked)):
+                    return {"kind": "subteam", "rows": listed(picked)}
         if isinstance(phi, DepAtom):
             rel = team_project(team, phi.args)
             return {"kind": "projection", "columns": list(phi.args), "rows": [list(r) for r in sorted(rel)]}

@@ -256,21 +256,38 @@ def sorted_free_variables(phi: Formula) -> tuple[str, ...]:
     """The free variables of `phi` in sorted order, computed once per node
     from its children's and kept on the node."""
     out = getattr(phi, "_free", None)
-    if out is None:
-        if isinstance(phi, DepAtom):
-            names = set(phi.args)
-        elif isinstance(phi, (RelLit, EqLit)):
-            terms = phi.args if isinstance(phi, RelLit) else (phi.left, phi.right)
-            names = {t.name for t in terms if isinstance(t, Var)}
-        else:
-            names = set()
-            for part in _children(phi):  # a loop, so one frame per level
-                names.update(sorted_free_variables(part))
-            if isinstance(phi, (Exists, Forall)):
-                names.discard(phi.var)
-        out = _shared(tuple(sorted(names)))
-        object.__setattr__(phi, "_free", out)
-    return out
+    return out if out is not None else _kept(phi, "_free", _free_of)
+
+
+def _free_of(phi: Formula, parts: tuple[Formula, ...]) -> tuple[str, ...]:
+    if isinstance(phi, DepAtom):
+        names = set(phi.args)
+    elif isinstance(phi, (RelLit, EqLit)):
+        terms = phi.args if isinstance(phi, RelLit) else (phi.left, phi.right)
+        names = {t.name for t in terms if isinstance(t, Var)}
+    else:
+        names = set()
+        for part in parts:
+            names.update(part._free)
+        if isinstance(phi, (Exists, Forall)):
+            names.discard(phi.var)
+    return _shared(tuple(sorted(names)))
+
+
+def _kept(phi: Formula, slot: str, compute: Callable[[Formula, tuple[Formula, ...]], object]):
+    """`compute(node, its children)` kept in `slot` of `phi` and of every
+    node below it that holds none yet, children first.  The walk keeps its
+    own stack, so a deep formula costs no recursion."""
+    todo, stack = [], [phi]
+    while stack:
+        node = stack.pop()
+        if getattr(node, slot, None) is None:
+            parts = _children(node)
+            todo.append((node, parts))
+            stack.extend(parts)
+    for node, parts in reversed(todo):  # each node after its children
+        object.__setattr__(node, slot, compute(node, parts))
+    return getattr(phi, slot)
 
 
 @functools.lru_cache(maxsize=10_000)
@@ -314,12 +331,16 @@ def constant_names(phi: Formula) -> frozenset[str]:
 def is_first_order(phi: Formula) -> bool:
     """True when no dependency atom, possibility, or restriction occurs; kept on the node."""
     out = getattr(phi, "_first_order", None)
-    if out is None:
-        out = not isinstance(phi, (DepAtom, Possibly, RestrictedBy))
-        for part in _children(phi):  # a loop, so one frame per level
-            out = out and is_first_order(part)
-        object.__setattr__(phi, "_first_order", out)
-    return out
+    return out if out is not None else _kept(phi, "_first_order", _first_order_of)
+
+
+def _first_order_of(phi: Formula, parts: tuple[Formula, ...]) -> bool:
+    if isinstance(phi, (DepAtom, Possibly, RestrictedBy)):
+        return False
+    for part in parts:
+        if not part._first_order:
+            return False
+    return True
 
 
 def is_clean(phi: Formula) -> bool:

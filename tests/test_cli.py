@@ -220,6 +220,55 @@ def test_eval_split_witness(capsys, model_file, team_file):
     assert json.loads(witness)["kind"] == "split"
 
 
+def test_eval_of_a_formula_too_deep_to_evaluate_is_an_error_not_a_crash(capsys, model_file, team_file):
+    # one frame per conjunction level; 2000 levels pass the recursion limit
+    formula = " /\\ ".join(["P(x)"] * 2000)
+    assert main(["eval", formula, "--model", model_file, "--team", team_file, "--witness"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "too deeply" in err and "Traceback" not in err
+
+
+def _alternating(tmp_path, n):
+    """A model of n elements with P on every other one, and the team of all of them over x."""
+    domain = tuple(f"e{i:02}" for i in range(n))
+    model = Model(domain, {"P": Relation(1, frozenset((e,) for e in domain[::2]))}, {})
+    paths = tmp_path / "m.json", tmp_path / "t.json"
+    paths[0].write_text(model.to_json())
+    paths[1].write_text(Team(("x",), frozenset((e,) for e in domain)).to_json())
+    return domain, [str(p) for p in paths]
+
+
+def test_eval_witness_enumerates_at_most_two_to_the_split_limit(capsys, tmp_path, monkeypatch):
+    # 3^12 covers are searched as before; 3^13 pass 2^20, refused before the first
+    domain, (model, team) = _alternating(tmp_path, 12)
+    assert main(["eval", "P(x) \\/ !P(x)", "--model", model, "--team", team, "--witness"]) == 0
+    verdict, witness = capsys.readouterr().out.splitlines()
+    assert verdict == "true"
+    assert json.loads(witness) == {
+        "kind": "split", "left": [[e] for e in domain[::2]], "right": [[e] for e in domain[1::2]],
+    }
+
+    def no_enumeration(items):
+        raise AssertionError("covers enumerated")
+
+    monkeypatch.setattr(teamsem.evaluator, "cover_parts", no_enumeration)
+    domain, (model, team) = _alternating(tmp_path, 13)
+    assert main(["eval", "P(x) \\/ !P(x)", "--model", model, "--team", team]) == 0
+    assert capsys.readouterr().out == "true\n"
+    assert main(["eval", "P(x) \\/ !P(x)", "--model", model, "--team", team, "--witness"]) == 2
+    assert capsys.readouterr().err == "error: a witness search over 1594323 splits passes the limit of 2^20\n"
+
+
+def test_eval_witness_searches_at_most_two_to_the_limit_subteams(capsys, tmp_path):
+    # 21 rows have 2^21 - 1 nonempty subteams, and so many rows over x,
+    # duplicated over x, have 2^21 subteams
+    _, (model, team) = _alternating(tmp_path, 21)
+    assert main(["eval", "poss(P(x))", "--model", model, "--team", team, "--witness"]) == 2
+    assert capsys.readouterr().err == "error: a witness search over 2097151 subteams passes the limit of 2^20\n"
+    assert main(["eval", "E x. P(x)", "--model", model, "--team", team, "--witness"]) == 2
+    assert capsys.readouterr().err == "error: a witness search over 2097152 subteams passes the limit of 2^20\n"
+
+
 @pytest.mark.parametrize("mode", ["naive", "oracle", "fast"])
 def test_eval_stats_do_not_depend_on_the_hash_seed(tmp_path, mode):
     # Team rows are frozensets of strings; the evaluator's short-circuiting

@@ -374,14 +374,28 @@ def test_an_evaluator_is_freed_without_the_cycle_collector(mode, m2):
         "poss(NE)",
         "restrict(dep(x; y) ; P(x))",
     ]
+    phis = [parse(text) for text in texts]
+    if mode == "fast":  # restriction in front of narrower nodes, memo lookups inline
+        phis.append(desugar_possibility(parse("poss(P(x) /\\ incl(y; x))")))
     gc.disable()
     try:
-        for text in texts:
+        for phi in phis:
             ev = Evaluator(m2, mode=mode)
-            ev.evaluate(parse(text), X)
-            ev.witness(parse(text), X)
+            ev.evaluate(phi, X)
+            ev.witness(phi, X)
             ref = weakref.ref(ev)
             del ev
-            assert ref() is None, text
+            assert ref() is None, str(phi)
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_conjunction_700_deep_costs_one_frame_per_level(mode, m2):
+    phi = parse(" /\\ ".join(["P(x)"] * 700))
+    ev = Evaluator(m2, mode=mode)
+    assert ev.evaluate(phi, team("x", ("a",)))
+    assert not ev.evaluate(phi, team("x", ("a",), ("b",)))
+    assert ev.witness(phi, team("xy", ("a", "b"))) == {"kind": "holds"}
+    with pytest.raises(EvalError, match="too deeply"):
+        ev.evaluate(parse(" /\\ ".join(["P(x)"] * 2000)), team("x", ("a",)))

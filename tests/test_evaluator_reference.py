@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 import pytest
 
 import evaluator_reference
-from teamsem import Model, Relation, Team, evaluator, parse
+from teamsem import Model, Relation, Team, evaluator, harness, parse
 from teamsem.atoms import AtomRegistry
 from teamsem.evaluator import Evaluator, MODES
 from teamsem.model import EvalError
-from teamsem.syntax import desugar_possibility
+from teamsem.syntax import desugar_possibility, pretty
 
 VARS = ("x", "y", "z")
 M2 = Model(("a", "b"), {"P": Relation(1, frozenset({("a",)}))}, {})
@@ -152,6 +152,20 @@ def test_covering_jumps_over_nine_duplicated_rows(phi, modes):
         assert_matches_reference(M3, phi, teams, mode)
 
 
+CRITERION_05 = harness._possibility_corpus(harness.DEFAULT_GRID, {"P": 1})
+
+
+@pytest.mark.parametrize(
+    "psi", [item[1] for item in CRITERION_05], ids=[pretty(item[0].body) for item in CRITERION_05]
+)
+def test_criterion_05_expansions_match_the_reference(psi):
+    # the hot path of the possibility sweep: restriction in front of nodes
+    # narrower than their team, memo lookups, chains of conjunctions
+    rows = sorted(itertools.product(M3.domain, repeat=2))
+    teams = [Team(("x", "y"), frozenset(c)) for k in range(3) for c in itertools.combinations(rows, k)]
+    assert_matches_reference(M3, psi, teams, "fast")
+
+
 @pytest.fixture(scope="module")
 def pairs():
     """A registry with `pair`, a custom atom of width 2: some row differs in its two columns."""
@@ -205,7 +219,10 @@ def test_masks_grow_with_rows_met_not_with_the_row_space(text, modes):
         new = Evaluator(WIDE, mode=mode)
         ref = evaluator_reference.Evaluator(WIDE, mode=mode)
         assert new.evaluate_with_stats(parse(text), team) == ref.evaluate_with_stats(parse(text), team)
-        assert max(mask for _, _, mask in new._memo).bit_length() <= len(new._row_of)
+        # each node's memo is over rows of one width, numbered apart from the others
+        assert any(new._memos.values())
+        for (_, vars), memo in new._memos.items():
+            assert max(memo, default=0).bit_length() <= len(new._row_of[len(vars)])
 
 
 def _outcome(ev, phi, team):
