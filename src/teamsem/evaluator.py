@@ -36,9 +36,9 @@ strategy is settled then, not per call.  Restriction and duplication are
 cached per whole mask, and a first-order node keeps a mask of the rows
 whose truth is known and one of those where it holds, so the engine runs
 once per row.  A split by subteam tables over more than `SPLIT_ROWS_LIMIT`
-rows is an `EvalError`, and so are a witness search over more than
-2^`SPLIT_ROWS_LIMIT` covers or subteams and a formula too deep for the
-interpreter's stack.
+rows is an `EvalError`, and so are a witness search that tries
+2^`SPLIT_ROWS_LIMIT` covers or subteams without a witness and a formula
+too deep for the interpreter's stack.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ import itertools
 import weakref
 from collections import defaultdict
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .atoms import AtomRegistry, DEFAULT_REGISTRY, eval_atom  # noqa: F401  (bench/tracer.py patches it by name)
 from .model import (
@@ -161,10 +161,13 @@ def _bits(mask: int, row_of: dict[int, Row]) -> list[int]:
     return out
 
 
-def _searchable(count: int, what: str) -> None:
-    """A witness search may try at most 2^`SPLIT_ROWS_LIMIT` candidates."""
-    if count > 1 << SPLIT_ROWS_LIMIT:
-        raise EvalError(f"a witness search over {count} {what} passes the limit of 2^{SPLIT_ROWS_LIMIT}")
+def _at_most(candidates: Iterable, what: str) -> Iterator:
+    """`candidates` in their order, of which a witness search may try
+    2^`SPLIT_ROWS_LIMIT`: drawing one more is an `EvalError`."""
+    for count, candidate in enumerate(candidates):
+        if count == 1 << SPLIT_ROWS_LIMIT:
+            raise EvalError(f"a witness search tried 2^{SPLIT_ROWS_LIMIT} {what}, the limit, and found none")
+        yield candidate
 
 
 @dataclass(slots=True)
@@ -216,7 +219,7 @@ class Evaluator:
         self._domain = set(model.domain)
         self._bit_of: dict[Row, int] = {}
         self._row_of: defaultdict[int, dict[int, Row]] = defaultdict(dict)
-        self._images: dict[tuple, tuple[dict[int, int], Callable[[int], int]]] = {}
+        self._images: dict[tuple, Callable[[int], int]] = {}
         # what the compiled functions use of the evaluator: a strong
         # reference would make a cycle that only the collector frees
         self._me = weakref.proxy(self)
@@ -271,12 +274,12 @@ class Evaluator:
         row_of = self._row_of[width]
         return [row_of[b] for b in _bits(mask, row_of)]
 
-    def _image(self, key: tuple, width: int, image: Callable[[Row], int]) -> tuple[dict, Callable[[int], int]]:
+    def _image(self, key: tuple, width: int, image: Callable[[Row], int]) -> Callable[[int], int]:
         """The map from a mask over rows of `width` to the union of
-        `image(row)` over its rows, kept once per `key` with its table; the
-        table holds whole masks, and a row's image under the row's own bit,
-        so a caller may look a mask up itself first.  A union does not
-        depend on order, so the rows are taken in bit order, unsorted."""
+        `image(row)` over its rows, kept once per `key`; its table holds
+        whole masks, and a row's image under the row's own bit.  A union
+        does not depend on order, so the rows are taken in bit order,
+        unsorted."""
         row_of, table = self._row_of[width], {}
 
         def apply(mask: int) -> int:
@@ -296,10 +299,10 @@ class Evaluator:
                     table[mask] = out
             return out
 
-        return self._images.setdefault(key, (table, apply))
+        return self._images.setdefault(key, apply)
 
-    def _restrict(self, vars: tuple[str, ...], to: tuple[str, ...]) -> tuple[dict, Callable[[int], int]]:
-        """X restricted to the columns `to`, with its table."""
+    def _restrict(self, vars: tuple[str, ...], to: tuple[str, ...]) -> Callable[[int], int]:
+        """X restricted to the columns `to`."""
         me, bit_of, idx = self._me, self._bit_of, [vars.index(v) for v in to]
 
         def image(row: Row) -> int:
@@ -312,7 +315,7 @@ class Evaluator:
         """X[values/var]: every row extended with, or overwritten by, each value."""
         me, i = self._me, vars.index(var) if var in vars else len(vars)
         image = lambda row: sum({me._bit(row[:i] + (m,) + row[i + 1 :]) for m in values})  # noqa: E731
-        return vars[:i] + (var,) + vars[i + 1 :], self._image((vars, var, tuple(values)), len(vars), image)[1]
+        return vars[:i] + (var,) + vars[i + 1 :], self._image((vars, var, tuple(values)), len(vars), image)
 
     # -- first-order nodes -------------------------------------------------------
 
@@ -359,12 +362,10 @@ class Evaluator:
         box, fv = self._box, sorted_free_variables(node) if self.mode == "fast" else vars
         if fv != vars:
             inner, memo = self._at(node, fv), self._memos[id(node), fv]
-            table, restricted = self._restrict(vars, fv)
+            restricted = self._restrict(vars, fv)
 
             def narrowed(mask: int) -> bool:
-                sub = table.get(mask)
-                if sub is None:
-                    sub = restricted(mask)
+                sub = restricted(mask)
                 hit = memo.get(sub)
                 if hit is None:
                     return inner(sub)
@@ -410,7 +411,7 @@ class Evaluator:
         if isinstance(node, DepAtom):
             # the direct evaluator on the projection, decided once per projection
             direct, model, verdicts = self.registry.resolve_atom(node).direct, self.model, {}
-            project, width = self._restrict(vars, node.args)[1], len(node.args)
+            project, width = self._restrict(vars, node.args), len(node.args)
 
             def atom(mask: int) -> bool:
                 rel = project(mask)
@@ -557,7 +558,7 @@ class Evaluator:
         """Does every assignment of a team survive, for some value of
         `var`, into `sub` (a subteam of the duplicated team)?"""
         rest = tuple(v for v in vars if v != var)
-        of_team, of_sub = self._restrict(vars, rest)[1], self._restrict(sub_vars, rest)[1]
+        of_team, of_sub = self._restrict(vars, rest), self._restrict(sub_vars, rest)
         return lambda mask, sub: not of_team(mask) & ~of_sub(sub)
 
     def _exists_by_subsets(self, node: Exists, vars: tuple[str, ...]) -> Callable[[int], bool]:
@@ -569,7 +570,7 @@ class Evaluator:
         each mask in between shares its bits above `low` and lacks `low`, so
         it misses the group too."""
         box, row_of, body = self._box, self._row_of[len(vars)], self._at(node.body, vars)
-        origin = self._restrict(vars, tuple(v for v in vars if v != node.var))[1]
+        origin = self._restrict(vars, tuple(v for v in vars if v != node.var))
 
         def search(doubled: int) -> bool:
             bits = _bits(doubled, row_of)
@@ -628,8 +629,8 @@ class Evaluator:
     def witness(self, phi: Formula, team: Team) -> dict | None:
         """A one-level explanation of why `phi` holds on `team` (None when
         it does not hold, or when the node carries no choice to report).
-        A search that would try more than 2^`SPLIT_ROWS_LIMIT` splits or
-        subteams is an `EvalError`."""
+        A search that tries 2^`SPLIT_ROWS_LIMIT` splits or subteams and
+        finds none is an `EvalError`."""
         try:
             return self._witness(phi, team)
         except RecursionError:
@@ -641,26 +642,21 @@ class Evaluator:
         vars, mask = team.vars, self._mask(team.rows)
         listed = lambda rows: [list(r) for r in sorted(rows)]  # noqa: E731
         if isinstance(phi, Or):
-            rows = self._rows(mask, len(vars))
-            _searchable(3 ** len(rows), "splits")
-            left, right = self._at(phi.left, vars), self._at(phi.right, vars)
-            for part_l, part_r in cover_parts(rows):
-                if left(self._mask(part_l)) and right(self._mask(part_r)):
+            left, right, row_of = self._at(phi.left, vars), self._at(phi.right, vars), self._row_of[len(vars)]
+            for part_l, part_r in _at_most(cover_parts(_bits(mask, row_of)), "splits"):
+                if left(sum(part_l)) and right(sum(part_r)):
+                    part_l, part_r = [row_of[b] for b in part_l], [row_of[b] for b in part_r]
                     return {"kind": "split", "left": listed(part_l), "right": listed(part_r)}
         if isinstance(phi, Exists):
             doubled_vars, duplicated = self._assign(vars, phi.var, self.model.domain)
             body, covers = self._at(phi.body, doubled_vars), self._covers(vars, doubled_vars, phi.var)
-            doubled = self._rows(duplicated(mask), len(doubled_vars))
-            _searchable(2 ** len(doubled), "subteams")
-            for rows in subsets(doubled):
+            for rows in _at_most(subsets(self._rows(duplicated(mask), len(doubled_vars))), "subteams"):
                 sub = self._mask(rows)
                 if covers(mask, sub) and body(sub):
                     return {"kind": "choice", "vars": list(doubled_vars), "rows": listed(rows)}
         if isinstance(phi, Possibly):
-            rows = self._rows(mask, len(vars))
-            _searchable(2 ** len(rows) - 1, "subteams")
             body = self._at(phi.body, vars)
-            for picked in subsets(rows, low=1):
+            for picked in _at_most(subsets(self._rows(mask, len(vars)), low=1), "subteams"):
                 if body(self._mask(picked)):
                     return {"kind": "subteam", "rows": listed(picked)}
         if isinstance(phi, DepAtom):

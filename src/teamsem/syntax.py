@@ -277,16 +277,21 @@ def _free_of(phi: Formula, parts: tuple[Formula, ...]) -> tuple[str, ...]:
 def _kept(phi: Formula, slot: str, compute: Callable[[Formula, tuple[Formula, ...]], object]):
     """`compute(node, its children)` kept in `slot` of `phi` and of every
     node below it that holds none yet, children first.  The walk keeps its
-    own stack, so a deep formula costs no recursion."""
-    todo, stack = [], [phi]
+    own stack, so a deep formula costs no recursion, and fills each slot
+    once, so a node shared by many parents is computed once.  A node comes
+    off the stack a second time, with its children, after everything pushed
+    above it, those children included."""
+    stack: list[tuple[Formula, tuple[Formula, ...] | None]] = [(phi, None)]
     while stack:
-        node = stack.pop()
+        node, parts = stack.pop()
         if getattr(node, slot, None) is None:
-            parts = _children(node)
-            todo.append((node, parts))
-            stack.extend(parts)
-    for node, parts in reversed(todo):  # each node after its children
-        object.__setattr__(node, slot, compute(node, parts))
+            if parts is None:
+                parts = _children(node)
+                stack.append((node, parts))
+                for part in parts:
+                    stack.append((part, None))
+            else:
+                object.__setattr__(node, slot, compute(node, parts))
     return getattr(phi, slot)
 
 

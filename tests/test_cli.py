@@ -12,6 +12,7 @@ import teamsem
 from teamsem import Model, Relation, Team, parse
 from teamsem.cli import _ast_dict, main
 from teamsem.harness import SWEEPS
+from teamsem.model import cover_parts
 
 MICRO_GRID = "doms=2;max_rows=2"
 
@@ -238,35 +239,64 @@ def _alternating(tmp_path, n):
     return domain, [str(p) for p in paths]
 
 
-def test_eval_witness_enumerates_at_most_two_to_the_split_limit(capsys, tmp_path, monkeypatch):
-    # 3^12 covers are searched as before; 3^13 pass 2^20, refused before the first
-    domain, (model, team) = _alternating(tmp_path, 12)
-    assert main(["eval", "P(x) \\/ !P(x)", "--model", model, "--team", team, "--witness"]) == 0
-    verdict, witness = capsys.readouterr().out.splitlines()
-    assert verdict == "true"
-    assert json.loads(witness) == {
-        "kind": "split", "left": [[e] for e in domain[::2]], "right": [[e] for e in domain[1::2]],
-    }
+def test_eval_witness_tries_at_most_two_to_the_limit_covers(capsys, tmp_path, monkeypatch):
+    # the split of an alternating team is cover 66,431 of 3^12 and cover
+    # 199,291 of 3^13, both within 2^20 tries and both as they always were
+    for n in (12, 13):
+        domain, (model, team) = _alternating(tmp_path, n)
+        assert main(["eval", "P(x) \\/ !P(x)", "--model", model, "--team", team, "--witness"]) == 0
+        verdict, witness = capsys.readouterr().out.splitlines()
+        assert verdict == "true"
+        assert json.loads(witness) == {
+            "kind": "split", "left": [[e] for e in domain[::2]], "right": [[e] for e in domain[1::2]],
+        }
 
-    def no_enumeration(items):
-        raise AssertionError("covers enumerated")
+    drawn = 0
 
-    monkeypatch.setattr(teamsem.evaluator, "cover_parts", no_enumeration)
-    domain, (model, team) = _alternating(tmp_path, 13)
+    def counted(items):
+        nonlocal drawn
+        for pair in cover_parts(items):
+            drawn += 1
+            yield pair
+
+    monkeypatch.setattr(teamsem.evaluator, "cover_parts", counted)
+    monkeypatch.setattr(teamsem.evaluator, "SPLIT_ROWS_LIMIT", 10)
     assert main(["eval", "P(x) \\/ !P(x)", "--model", model, "--team", team]) == 0
     assert capsys.readouterr().out == "true\n"
     assert main(["eval", "P(x) \\/ !P(x)", "--model", model, "--team", team, "--witness"]) == 2
-    assert capsys.readouterr().err == "error: a witness search over 1594323 splits passes the limit of 2^20\n"
+    assert capsys.readouterr().err == "error: a witness search tried 2^10 splits, the limit, and found none\n"
+    assert drawn == 2**10 + 1
 
 
-def test_eval_witness_searches_at_most_two_to_the_limit_subteams(capsys, tmp_path):
-    # 21 rows have 2^21 - 1 nonempty subteams, and so many rows over x,
-    # duplicated over x, have 2^21 subteams
-    _, (model, team) = _alternating(tmp_path, 21)
-    assert main(["eval", "poss(P(x))", "--model", model, "--team", team, "--witness"]) == 2
-    assert capsys.readouterr().err == "error: a witness search over 2097151 subteams passes the limit of 2^20\n"
-    assert main(["eval", "E x. P(x)", "--model", model, "--team", team, "--witness"]) == 2
-    assert capsys.readouterr().err == "error: a witness search over 2097152 subteams passes the limit of 2^20\n"
+def test_eval_witness_tries_at_most_two_to_the_limit_subteams(capsys, tmp_path, monkeypatch):
+    # P fails on the last of 21 elements only: the witnesses are the 21st
+    # nonempty subteam of the team and the 22nd subteam of it duplicated over x
+    domain = tuple(f"e{i:02}" for i in range(21))
+    model, team = tmp_path / "m.json", tmp_path / "t.json"
+    model.write_text(Model(domain, {"P": Relation(1, frozenset((e,) for e in domain[:-1]))}, {}).to_json())
+    team.write_text(Team(("x",), frozenset((e,) for e in domain)).to_json())
+    for formula, witness in [
+        ("poss(!P(x))", {"kind": "subteam", "rows": [["e20"]]}),
+        ("E x. !P(x)", {"kind": "choice", "vars": ["x"], "rows": [["e20"]]}),
+    ]:
+        args = ["eval", formula, "--model", str(model), "--team", str(team), "--witness"]
+        assert main(args) == 0
+        assert json.loads(capsys.readouterr().out.splitlines()[1]) == witness
+        monkeypatch.setattr(teamsem.evaluator, "SPLIT_ROWS_LIMIT", 4)
+        assert main(args) == 2
+        assert capsys.readouterr().err == "error: a witness search tried 2^4 subteams, the limit, and found none\n"
+        monkeypatch.undo()
+
+
+def test_eval_witness_of_a_one_row_team_duplicated_over_a_large_domain(capsys, tmp_path):
+    # one row doubles to 21 rows, 2^21 subteams; the witness is the second tried
+    _, (model, _) = _alternating(tmp_path, 21)
+    team = tmp_path / "one.json"
+    team.write_text(Team(("x",), frozenset({("e00",)})).to_json())
+    assert main(["eval", "E y. y = x", "--model", model, "--team", str(team), "--witness"]) == 0
+    verdict, witness = capsys.readouterr().out.splitlines()
+    assert verdict == "true"
+    assert json.loads(witness) == {"kind": "choice", "vars": ["x", "y"], "rows": [["e00", "e00"]]}
 
 
 @pytest.mark.parametrize("mode", ["naive", "oracle", "fast"])

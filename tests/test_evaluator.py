@@ -14,7 +14,7 @@ from teamsem import Model, Relation, Team, evaluate, evaluator, parse, sentence_
 from teamsem.atoms import DEFAULT_REGISTRY
 from teamsem.evaluator import Evaluator, MODES, upward_fragment
 from teamsem.model import EvalError, SINGLETON_EMPTY_TEAM, tarski_eval
-from teamsem.syntax import count_nodes, free_variables
+from teamsem.syntax import And, count_nodes, free_variables
 from teamsem.translator import desugar_possibility
 
 
@@ -399,3 +399,15 @@ def test_a_conjunction_700_deep_costs_one_frame_per_level(mode, m2):
     assert ev.witness(phi, team("xy", ("a", "b"))) == {"kind": "holds"}
     with pytest.raises(EvalError, match="too deeply"):
         ev.evaluate(parse(" /\\ ".join(["P(x)"] * 2000)), team("x", ("a",)))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_subformula_shared_by_many_parents_is_compiled_once(mode, m2):
+    # 41 distinct nodes but 2^40 paths from the root down to the leaf
+    phi = parse("P(x)")
+    for _ in range(40):
+        phi = And(phi, phi)
+    ev = Evaluator(m2, mode=mode)
+    assert ev.evaluate(phi, team("x", ("a",)))
+    assert not ev.evaluate(phi, team("x", ("a",), ("b",)))
+    assert ev.stats.nodes == 2 * 41

@@ -301,6 +301,18 @@ def test_kept_facts_stay_out_of_the_fields():
     assert copy == phi and sorted_free_variables(copy) == ("x",) and not is_first_order(copy)
 
 
+def test_kept_facts_are_computed_once_per_shared_node():
+    # 41 distinct nodes but 2^40 paths from the root down to the leaf
+    tower = parse("P(x)")
+    for _ in range(40):
+        tower = And(tower, tower)
+    assert free_variables(tower) == {"x"} and is_first_order(tower)
+    # a node met first as a child of the root and then below a sibling of it
+    shared = parse("E y. P(y)")
+    phi = And(And(shared, parse("const(z)")), shared)
+    assert_facts_match_the_reference(phi)
+
+
 # --- the one walk: `_children` and its inverse ------------------------------------
 
 
