@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .atoms import AtomRegistry, DEFAULT_REGISTRY
 from .evaluator import Evaluator
-from .model import Model, SINGLETON_EMPTY_TEAM, Team, duplicate, letters, subsets
+from .model import Model, SINGLETON_EMPTY_TEAM, Team, duplicate, letters
 from .syntax import DepAtom, Formula, Possibly, free_variables, pretty, subformulas
 
 
@@ -122,10 +122,9 @@ def find_small_witness(
     ev = evaluator or Evaluator(model, registry=reg)
     if not ev.evaluate(phi, team):
         raise AnalysisError("the team does not satisfy the formula; nothing to shrink")
-    for rows in subsets(team.rows, high=height.value):
-        sub = Team(team.vars, rows)
-        if ev.evaluate(phi, sub):
-            return sub
+    sub = ev.first_subteam(phi, team, height.value)
+    if sub is not None:
+        return sub
     raise InvariantBreach(
         "no satisfying subteam within the height bound",
         _repro(model, team, phi, height=height.value),
@@ -156,12 +155,9 @@ def totality_unboundedness_witness(
         raise InvariantBreach(
             "the full team does not satisfy totality", _repro(model, team, atom)
         )
-    for rows in subsets(team.rows, high=n):
-        sub = Team(team.vars, rows)
-        if ev.evaluate(atom, sub):
-            raise InvariantBreach(
-                "a small subteam satisfies totality", _repro(model, sub, atom)
-            )
+    sub = ev.first_subteam(atom, team, n)
+    if sub is not None:
+        raise InvariantBreach("a small subteam satisfies totality", _repro(model, sub, atom))
     return model, team
 
 

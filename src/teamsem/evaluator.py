@@ -12,8 +12,14 @@ Three interchangeable strategies:
 * ``fast``   -- restricts every subformula to its free variables and,
   wherever all dependency atoms in sight are upwards closed, evaluates
   splits, existentials, and possibility through their flattening-guided
-  rewrites, which replace subset searches with single recursions.  Falls
-  back to oracle behaviour node by node when the gate fails.
+  rewrites, which replace subset searches with single recursions.  A
+  split off that fragment with a downwards closed side theta (see
+  `downward_closed`) builds no subteam tables either: X satisfies it iff
+  some L within X satisfies the other side psi while theta holds on the
+  rest.  For a first-order theta and a downwards closed psi that is one
+  evaluation of psi on the rows where theta fails; otherwise a search
+  removes rows from X, fewest first.  Falls back to oracle behaviour node
+  by node when neither gate holds.
 
 The fast gate deliberately excludes constancy atoms: the rewrites are
 unsound for them (an existential over a constancy atom is the canonical
@@ -24,9 +30,11 @@ free bit among the rows of its width when the evaluator first meets it, so
 a mask is as wide as the rows of its width seen so far, not |dom|^|vars|;
 searches walk the set bits in sorted-row order, while restriction and
 duplication images are unions taken in bit order.  No `Team` is built past
-`evaluate` and `witness`: a dependency atom runs its direct evaluator on
-the rows of its projected mask, once per projection, and naive mode's
-choice functions are unions of row images.
+`evaluate`, `witness` and `first_subteam`: a dependency atom runs its
+direct evaluator on the rows of its projected mask, once per projection,
+naive mode's choice functions are unions of row images, and every search
+of a team's subteams by size (possibility, witnesses, `first_subteam`,
+the split's removals) takes `itertools.combinations` of a mask's bits.
 
 Each node is compiled on first use, once per `(node, vars)`, into one
 function of masks that reads and fills the node's own memo, keeps the
@@ -36,9 +44,9 @@ strategy is settled then, not per call.  Restriction and duplication are
 cached per whole mask, and a first-order node keeps a mask of the rows
 whose truth is known and one of those where it holds, so the engine runs
 once per row.  A split by subteam tables over more than `SPLIT_ROWS_LIMIT`
-rows is an `EvalError`, and so are a witness search that tries
-2^`SPLIT_ROWS_LIMIT` covers or subteams without a witness and a formula
-too deep for the interpreter's stack.
+rows is an `EvalError`, and so are a split's search of removals or a
+witness search that tries 2^`SPLIT_ROWS_LIMIT` candidates without success
+and a formula too deep for the interpreter's stack.
 """
 
 from __future__ import annotations
@@ -61,7 +69,6 @@ from .model import (
     duplicate,  # noqa: F401  (bench/tracer.py patches these six by name)
     enumerate_choice_functions,  # noqa: F401
     enumerate_covers,  # noqa: F401
-    subsets,
     supplement,  # noqa: F401
     tarski_eval,  # noqa: F401
     team_project,
@@ -82,6 +89,7 @@ from .syntax import (
     _children,
     flatten,
     free_variables,
+    is_first_order,
     restrict,
     sorted_free_variables,
 )
@@ -106,6 +114,21 @@ def upward_fragment(phi: Formula, registry: AtomRegistry) -> bool:
         return True
     for part in _children(phi):  # a loop, so one frame per level
         if not upward_fragment(part, registry):
+            return False
+    return True
+
+
+def downward_closed(phi: Formula, registry: AtomRegistry) -> bool:
+    """True when `phi` is downwards closed by its syntax: every dependency
+    atom in it is, and no possibility occurs.  First-order parts are
+    flat, so downwards closed, and conjunction, disjunction, both
+    quantifiers and restriction keep the property."""
+    if isinstance(phi, DepAtom):
+        return registry.resolve_atom(phi).downwards_closed
+    if isinstance(phi, Possibly):
+        return False
+    for part in _children(phi):  # a loop, so one frame per level
+        if not downward_closed(part, registry):
             return False
     return True
 
@@ -148,6 +171,15 @@ def _subteam_masks(bits: list[int]) -> Iterator[int]:
         yield sub
 
 
+def _subteams(bits: list[int], low: int = 0, high: int | None = None) -> Iterator[int]:
+    """The unions of `low` to `high` of `bits`, fewest first and, within one
+    size, in `itertools.combinations` order: over bits in sorted-row order
+    that is the order of `subsets` over the rows."""
+    for size in range(low, len(bits) + 1 if high is None else min(high, len(bits)) + 1):
+        for picked in itertools.combinations(bits, size):
+            yield sum(picked)
+
+
 def _bits(mask: int, row_of: dict[int, Row]) -> list[int]:
     """The set bits of `mask`, in sorted-row order; `row_of` maps the bits
     of the rows of one width to the rows."""
@@ -162,8 +194,9 @@ def _bits(mask: int, row_of: dict[int, Row]) -> list[int]:
 
 
 def _at_most(candidates: Iterable, what: str) -> Iterator:
-    """`candidates` in their order, of which a witness search may try
-    2^`SPLIT_ROWS_LIMIT`: drawing one more is an `EvalError`."""
+    """`candidates` in their order, of which a search for a witness (or
+    for a split) may try 2^`SPLIT_ROWS_LIMIT`: drawing one more is an
+    `EvalError`."""
     for count, candidate in enumerate(candidates):
         if count == 1 << SPLIT_ROWS_LIMIT:
             raise EvalError(f"a witness search tried 2^{SPLIT_ROWS_LIMIT} {what}, the limit, and found none")
@@ -443,7 +476,7 @@ class Evaluator:
     # -- disjunction ----------------------------------------------------------
 
     def _split(self, node: Or, vars: tuple[str, ...]) -> Callable[[int], bool]:
-        me, box, row_of = self._me, self._box, self._row_of[len(vars)]
+        box, row_of, registry = self._box, self._row_of[len(vars)], self.registry
         left, right = self._at(node.left, vars), self._at(node.right, vars)
         if self.mode == "naive":
 
@@ -455,7 +488,7 @@ class Evaluator:
                 return False
 
             return covers
-        if self.mode == "fast" and upward_fragment(node, self.registry):
+        if self.mode == "fast" and upward_fragment(node, registry):
             sat_l = self._satisfying(flatten(node.left), vars)
             sat_r = self._satisfying(flatten(node.right), vars)
 
@@ -472,33 +505,65 @@ class Evaluator:
                 return left(parts_l) and right(parts_r)
 
             return guided
-        return lambda mask: me._split_by_tables(left, right, _bits(mask, row_of))
+        if self.mode == "fast":
+            # theta: a first-order side if any, else a downwards closed one, the right side first
+            sides = [(node.right, node.left), (node.left, node.right)]
+            for theta, psi in sorted(sides, key=lambda side: not is_first_order(side[0])):
+                if downward_closed(theta, registry):
+                    return self._split_down(theta, psi, vars)
 
-    def _split_by_tables(self, left: Callable, right: Callable, bits: list[int]) -> bool:
-        n = len(bits)
-        if n > SPLIT_ROWS_LIMIT:
-            raise EvalError(
-                f"a split over {n} rows needs tables of 2^{n} subteams; the limit is {SPLIT_ROWS_LIMIT} rows"
-            )
-        sat_left = []
-        sat_right_closed = bytearray(1 << n)
-        for local, sub in enumerate(_subteam_masks(bits)):
-            self.stats.subsets += 1
-            if left(sub):
-                sat_left.append(local)
-            if right(sub):
-                sat_right_closed[local] = True
-        # downward closure: membership of X \ Y asks whether some superset
-        # of the complement satisfies the right disjunct
-        for local in range((1 << n) - 1, -1, -1):
-            if sat_right_closed[local]:
-                m = local
-                while m:
-                    bit = m & -m
-                    sat_right_closed[local ^ bit] = True
-                    m ^= bit
-        full = (1 << n) - 1
-        return any(sat_right_closed[full ^ m] for m in sat_left)
+        def tables(mask: int) -> bool:
+            bits = _bits(mask, row_of)
+            n = len(bits)
+            if n > SPLIT_ROWS_LIMIT:
+                raise EvalError(
+                    f"a split over {n} rows needs tables of 2^{n} subteams; the limit is {SPLIT_ROWS_LIMIT} rows"
+                )
+            stats, sat_left, sat_right_closed = box[0], [], bytearray(1 << n)
+            for local, sub in enumerate(_subteam_masks(bits)):
+                stats.subsets += 1
+                if left(sub):
+                    sat_left.append(local)
+                if right(sub):
+                    sat_right_closed[local] = True
+            # downward closure: membership of X \ Y asks whether some superset
+            # of the complement satisfies the right disjunct
+            for local in range((1 << n) - 1, -1, -1):
+                if sat_right_closed[local]:
+                    m = local
+                    while m:
+                        bit = m & -m
+                        sat_right_closed[local ^ bit] = True
+                        m ^= bit
+            full = (1 << n) - 1
+            return any(sat_right_closed[full ^ m] for m in sat_left)
+
+        return tables
+
+    def _split_down(self, theta: Formula, psi: Formula, vars: tuple[str, ...]) -> Callable[[int], bool]:
+        """The split of a team X into psi and a downwards closed theta: some
+        L within X satisfies psi while theta holds on the rest.  A
+        first-order theta holds on exactly the subteams of its rows, so a
+        downwards closed psi need only hold on the rows where theta fails.
+        Otherwise rows are removed from X, fewest first, each removal
+        tried counting in `stats.subsets`."""
+        box, row_of, on_psi = self._box, self._row_of[len(vars)], self._at(psi, vars)
+        if is_first_order(theta):
+            removable, on_theta = self._satisfying(theta, vars), None
+            if downward_closed(psi, self.registry):
+                return lambda mask: on_psi(mask & ~removable(mask))
+        else:
+            removable, on_theta = (lambda mask: mask), self._at(theta, vars)
+
+        def search(mask: int) -> bool:
+            stats = box[0]
+            for removed in _at_most(_subteams(_bits(removable(mask), row_of)), "splits"):
+                stats.subsets += 1
+                if on_psi(mask ^ removed) and (on_theta is None or on_theta(removed)):
+                    return True
+            return False
+
+        return search
 
     # -- existential ------------------------------------------------------------
 
@@ -613,13 +678,10 @@ class Evaluator:
             return lambda mask: bool(kept := satisfying(mask)) and body(kept)
 
         def search(mask: int) -> bool:
-            # the nonempty subteams, smallest first, as `subsets` orders rows
-            bits = _bits(mask, row_of)
-            for size in range(1, len(bits) + 1):
-                for picked in itertools.combinations(bits, size):
-                    box[0].subsets += 1
-                    if body(sum(picked)):
-                        return True
+            for sub in _subteams(_bits(mask, row_of), 1):
+                box[0].subsets += 1
+                if body(sub):
+                    return True
             return False
 
         return search
@@ -639,10 +701,10 @@ class Evaluator:
     def _witness(self, phi: Formula, team: Team) -> dict | None:
         if not self.evaluate(phi, team):
             return None
-        vars, mask = team.vars, self._mask(team.rows)
+        vars, mask, row_of = team.vars, self._mask(team.rows), self._row_of[len(team.vars)]
         listed = lambda rows: [list(r) for r in sorted(rows)]  # noqa: E731
         if isinstance(phi, Or):
-            left, right, row_of = self._at(phi.left, vars), self._at(phi.right, vars), self._row_of[len(vars)]
+            left, right = self._at(phi.left, vars), self._at(phi.right, vars)
             for part_l, part_r in _at_most(cover_parts(_bits(mask, row_of)), "splits"):
                 if left(sum(part_l)) and right(sum(part_r)):
                     part_l, part_r = [row_of[b] for b in part_l], [row_of[b] for b in part_r]
@@ -650,19 +712,33 @@ class Evaluator:
         if isinstance(phi, Exists):
             doubled_vars, duplicated = self._assign(vars, phi.var, self.model.domain)
             body, covers = self._at(phi.body, doubled_vars), self._covers(vars, doubled_vars, phi.var)
-            for rows in _at_most(subsets(self._rows(duplicated(mask), len(doubled_vars))), "subteams"):
-                sub = self._mask(rows)
+            width = len(doubled_vars)
+            for sub in _at_most(_subteams(_bits(duplicated(mask), self._row_of[width])), "subteams"):
                 if covers(mask, sub) and body(sub):
-                    return {"kind": "choice", "vars": list(doubled_vars), "rows": listed(rows)}
+                    return {"kind": "choice", "vars": list(doubled_vars), "rows": listed(self._rows(sub, width))}
         if isinstance(phi, Possibly):
             body = self._at(phi.body, vars)
-            for picked in _at_most(subsets(self._rows(mask, len(vars)), low=1), "subteams"):
-                if body(self._mask(picked)):
-                    return {"kind": "subteam", "rows": listed(picked)}
+            for sub in _at_most(_subteams(_bits(mask, row_of), 1), "subteams"):
+                if body(sub):
+                    return {"kind": "subteam", "rows": listed(self._rows(sub, len(vars)))}
         if isinstance(phi, DepAtom):
             rel = team_project(team, phi.args)
             return {"kind": "projection", "columns": list(phi.args), "rows": [list(r) for r in sorted(rel)]}
         return {"kind": "holds"}
+
+    def first_subteam(self, phi: Formula, team: Team, high: int) -> Team | None:
+        """The first subteam of `team` with at most `high` rows on which
+        `phi` holds, in the order of `subsets` (None if there is none).
+        The search runs on masks; only the answer becomes a `Team`."""
+        try:
+            vars, mask = team.vars, self._mask(team.rows)
+            holds = self._at(phi, vars)
+            for sub in _subteams(_bits(mask, self._row_of[len(vars)]), 0, high):
+                if holds(sub):
+                    return Team(vars, frozenset(self._rows(sub, len(vars))))
+            return None
+        except RecursionError:
+            raise EvalError(_TOO_DEEP) from None
 
 
 def evaluate(

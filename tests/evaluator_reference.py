@@ -4,7 +4,9 @@ every subteam a validated `Team`, every restriction a `team_restrict`.
 It is the slow, literal other side of the differential tests of
 `teamsem.evaluator`, which must match it in verdicts, `EvalStats` and
 witnesses, as `fo_reference` is for the first-order engine.  Apart from
-this docstring and absolute imports it is the evaluator verbatim."""
+this docstring, absolute imports and the fast-mode split
+rules added since (`downward_closed`, `_split_down`) it is the evaluator
+verbatim."""
 
 from __future__ import annotations
 
@@ -41,6 +43,7 @@ from teamsem.syntax import (
     RestrictedBy,
     flatten,
     free_variables,
+    is_first_order,
     restrict,
 )
 
@@ -77,6 +80,35 @@ def upward_fragment(
         out = True
     elif isinstance(phi, RestrictedBy):
         out = upward_fragment(phi.body, registry, cache)
+    else:
+        raise EvalError(f"unknown node {phi!r}")
+    cache[id(phi)] = out
+    return out
+
+
+def downward_closed(
+    phi: Formula, registry: AtomRegistry, cache: dict[int, bool] | None = None
+) -> bool:
+    """True when every dependency atom in `phi` is downwards closed and no
+    possibility occurs: first-order parts are flat, and conjunction,
+    disjunction, both quantifiers and restriction keep the property."""
+    if cache is None:
+        cache = {}
+    got = cache.get(id(phi))
+    if got is not None:
+        return got
+    if isinstance(phi, (BoolLit, RelLit, EqLit)):
+        out = True
+    elif isinstance(phi, DepAtom):
+        out = registry.resolve_atom(phi).downwards_closed
+    elif isinstance(phi, (Or, And)):
+        out = downward_closed(phi.left, registry, cache) and downward_closed(
+            phi.right, registry, cache
+        )
+    elif isinstance(phi, (Exists, Forall, RestrictedBy)):
+        out = downward_closed(phi.body, registry, cache)
+    elif isinstance(phi, Possibly):
+        out = False
     else:
         raise EvalError(f"unknown node {phi!r}")
     cache[id(phi)] = out
@@ -168,6 +200,7 @@ class Evaluator:
         self._flat: dict[int, Formula] = {}
         self._expansion: dict[int, Formula] = {}
         self._upward: dict[int, bool] = {}
+        self._downward: dict[int, bool] = {}
         self._roots: dict[int, Formula] = {}
         self._fo: dict[tuple[int, tuple[str, ...]], tuple[Callable, Formula]] = {}
 
@@ -223,6 +256,9 @@ class Evaluator:
 
     def _all_upward(self, node: Formula) -> bool:
         return upward_fragment(node, self.registry, self._upward)
+
+    def _all_downward(self, node: Formula) -> bool:
+        return downward_closed(node, self.registry, self._downward)
 
     # -- core recursion ------------------------------------------------------
 
@@ -312,7 +348,34 @@ class Evaluator:
             return self._eval(node.left, Team(team.vars, frozenset(left_rows))) and self._eval(
                 node.right, Team(team.vars, frozenset(right_rows))
             )
+        if self.mode == "fast":
+            # theta: a first-order side if there is one, else a downwards
+            # closed one, the right side first
+            sides = [(node.right, node.left), (node.left, node.right)]
+            for theta, psi in [p for p in sides if is_first_order(p[0])] + sides:
+                if self._all_downward(theta):
+                    return self._split_down(theta, psi, team)
         return self._split_by_tables(node, team)
+
+    def _split_down(self, theta: Formula, psi: Formula, team: Team) -> bool:
+        """X satisfies the split into psi and a downwards closed theta iff
+        some L within X satisfies psi and theta holds on X minus L.  For a
+        first-order theta, X minus L must keep to the rows where theta
+        holds; a downwards closed psi then needs only the rows where
+        theta fails.  Otherwise rows are removed from X, fewest first."""
+        if is_first_order(theta):
+            removable = self._satisfying(team, theta)
+            if self._all_downward(psi):
+                return self._eval(psi, Team(team.vars, team.rows - removable.rows))
+        else:
+            removable = team
+        for removed in subsets(removable.rows):
+            self.stats.subsets += 1
+            if self._eval(psi, Team(team.vars, team.rows - removed)) and (
+                is_first_order(theta) or self._eval(theta, Team(team.vars, removed))
+            ):
+                return True
+        return False
 
     def _split_by_tables(self, node: Or, team: Team) -> bool:
         rows = team.sorted_rows

@@ -12,7 +12,7 @@ import pytest
 
 from teamsem import Model, Relation, Team, evaluate, evaluator, parse, sentence_true, syntax
 from teamsem.atoms import DEFAULT_REGISTRY
-from teamsem.evaluator import Evaluator, MODES, upward_fragment
+from teamsem.evaluator import Evaluator, MODES, downward_closed, upward_fragment
 from teamsem.model import EvalError, SINGLETON_EMPTY_TEAM, tarski_eval
 from teamsem.syntax import And, count_nodes, free_variables
 from teamsem.translator import desugar_possibility
@@ -257,6 +257,77 @@ def test_upward_fragment_gate():
     assert not upward_fragment(parse("restrict(dep(x; y) ; P(x))"), reg)
 
 
+def test_downward_closed_gate():
+    reg = DEFAULT_REGISTRY
+    assert downward_closed(parse("P(x) /\\ (E y. (dep(x; y) \\/ const(y)))"), reg)
+    assert downward_closed(parse("A y. restrict(excl(x; y) ; P(y))"), reg)
+    assert not downward_closed(parse("dep(x; y) /\\ NE"), reg)
+    assert not downward_closed(parse("incl(x; y)"), reg)
+    # possibility does not keep the property, even over a first-order body
+    assert not downward_closed(parse("poss(P(x))"), reg)
+
+
+# each rule for a split off the upward fragment, with theta (the first-order
+# or downwards closed side) on either side, and splits nested under other nodes
+_DOWNWARD_SPLITS = [
+    # theta first-order, psi downwards closed: one evaluation
+    "dep(x; y) \\/ P(y)",
+    "x = y \\/ excl(x; y)",
+    "const(x) \\/ (P(x) /\\ x != y)",
+    # theta first-order, psi not downwards closed: a search
+    "(NE /\\ dep(x; y)) \\/ P(x)",
+    "x != y \\/ incl(x; y)",
+    # theta downwards closed but not first-order
+    "excl(x; y) \\/ NE",
+    "NE \\/ dep(y; x)",
+    "const(x) \\/ const(y)",
+    "incl(y; x) \\/ dep(x; y)",
+    "poss(x = y) \\/ excl(x; y)",
+    # neither side downwards closed: subteam tables
+    "incl(x; y) \\/ incl(y; x)",
+    "(NE /\\ dep(x; y)) \\/ incl(y; x)",
+    # nested
+    "E z. (dep(x; z) \\/ P(z))",
+    "E z. (z != y /\\ (NE \\/ excl(x; z)))",
+    "A z. (z = x \\/ dep(y; z))",
+    "A z. (incl(z; x) \\/ dep(x; z))",
+    "restrict(P(y) \\/ dep(x; y) ; x != y)",
+    "restrict(const(y) \\/ const(x) ; P(x))",
+    "(dep(x; y) \\/ P(y)) \\/ (excl(x; y) \\/ NE)",
+]
+
+
+@pytest.mark.parametrize("text", _DOWNWARD_SPLITS)
+def test_splits_with_a_downwards_closed_side_agree_with_oracle(text, m3):
+    # every team of at most 4 rows over a 3-element domain
+    phi = parse(text)
+    fast, oracle = Evaluator(m3, mode="fast"), Evaluator(m3, mode="oracle")
+    for X in all_teams(m3, "xy", 4):
+        assert fast.evaluate(phi, X) == oracle.evaluate(phi, X), sorted(X.rows)
+
+
+def test_a_split_with_a_first_order_side_is_decided_on_40_rows():
+    model = Model(tuple(f"e{i:02}" for i in range(40)), {"P": Relation(1, frozenset({("e00",)}))}, {})
+    # e00 with 20 values of y, and 20 other values of x with one y each
+    rows = [("e00", f"e{j:02}") for j in range(20)] + [(f"e{i:02}", "e00") for i in range(1, 21)]
+    phi, ev = parse("dep(x; y) \\/ P(x)"), Evaluator(model)
+    # one evaluation of dep on the rows where P fails
+    assert ev.evaluate(phi, team("xy", *rows))
+    assert (ev.stats.nodes, ev.stats.subsets) == (2, 0)
+    # a second value of y for e01 breaks the dependence
+    assert not ev.evaluate(phi, team("xy", *rows[:-1], ("e01", "e01")))
+
+
+def test_a_split_with_a_downwards_closed_side_stops_at_its_first_candidate_on_40_rows():
+    model = Model(tuple(f"e{i:02}" for i in range(40)), {}, {})
+    rows = [(f"e{i:02}", f"e{i % 7:02}") for i in range(40)]
+    # the first candidate keeps every row on the left: NE holds there and
+    # excl on the empty rest
+    ev = Evaluator(model)
+    assert ev.evaluate(parse("excl(x; y) \\/ NE"), team("xy", *rows))
+    assert ev.stats.subsets == 1
+
+
 # --- errors ----------------------------------------------------------------------------------
 
 
@@ -339,14 +410,24 @@ def test_memoization_is_stable(m2):
     assert ev.evaluate(phi, X) == first == evaluate(m2, X, phi, mode="naive")
 
 
-@pytest.mark.parametrize("mode", ("oracle", "fast"))
-def test_a_split_over_too_many_rows_is_an_eval_error(mode):
-    # dep is not upwards closed, so both modes split by subteam tables:
+@pytest.mark.parametrize(
+    "mode, text",
+    [
+        ("oracle", "A u. A v. (v = u \\/ dep(u; v))"),
+        # fast mode splits off a first-order side without tables, but
+        # incl is neither upwards nor downwards closed
+        ("fast", "A u. A v. (incl(u; v) \\/ incl(v; u))"),
+    ],
+    ids=["oracle", "fast"],
+)
+def test_a_split_over_too_many_rows_is_an_eval_error(mode, text):
     # 1600 rows would need a table of 2^1600 entries
     model = Model(tuple(f"e{i}" for i in range(40)), {}, {})
-    phi = parse("A u. A v. (v = u \\/ dep(u; v))")
     with pytest.raises(EvalError, match="split over 1600 rows .* limit is 20 rows"):
-        Evaluator(model, mode=mode).sentence_true(phi)
+        Evaluator(model, mode=mode).sentence_true(parse(text))
+    if mode == "fast":
+        # one evaluation of dep on the 1560 rows where v = u fails
+        assert not Evaluator(model, mode=mode).sentence_true(parse("A u. A v. (v = u \\/ dep(u; v))"))
 
 
 def test_the_split_limit_counts_the_rows_of_the_split(m2, monkeypatch):
@@ -355,6 +436,16 @@ def test_the_split_limit_counts_the_rows_of_the_split(m2, monkeypatch):
     ev = Evaluator(m2, mode="oracle")
     assert ev.evaluate(phi, team("xy", ("a", "a"), ("b", "a")))
     with pytest.raises(EvalError, match="split over 3 rows"):
+        ev.evaluate(phi, team("xy", ("a", "a"), ("b", "a"), ("b", "b")))
+
+
+def test_a_split_search_counts_its_candidates_against_the_limit(m2, monkeypatch):
+    monkeypatch.setattr(evaluator, "SPLIT_ROWS_LIMIT", 2)
+    # no subteam satisfies the left side, so every removal is tried
+    phi, ev = parse("(NE /\\ F) \\/ dep(x; y)"), Evaluator(m2)
+    assert not ev.evaluate(phi, team("xy", ("a", "a"), ("b", "a")))
+    assert ev.stats.subsets == 4
+    with pytest.raises(EvalError, match="tried 2\\^2 splits"):
         ev.evaluate(phi, team("xy", ("a", "a"), ("b", "a"), ("b", "b")))
 
 
@@ -367,6 +458,7 @@ def test_an_evaluator_is_freed_without_the_cycle_collector(mode, m2):
         "T /\\ P(x)",
         "A z. (P(z) \\/ dep(x; z))",
         "NE \\/ NE",
+        "excl(x; y) \\/ NE",
         "E z. (dep(x; z) /\\ P(z))",
         "E z. (const(z) /\\ nonexcl(x; z))",
         "E z. incl(z; x)",
@@ -399,6 +491,13 @@ def test_a_conjunction_700_deep_costs_one_frame_per_level(mode, m2):
     assert ev.witness(phi, team("xy", ("a", "b"))) == {"kind": "holds"}
     with pytest.raises(EvalError, match="too deeply"):
         ev.evaluate(parse(" /\\ ".join(["P(x)"] * 2000)), team("x", ("a",)))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_disjunction_450_deep_costs_two_frames_per_level(mode, m2):
+    # the node's function, then its split body, in every mode
+    phi = parse(" \\/ ".join(["dep(x; x)"] * 450))
+    assert Evaluator(m2, mode=mode).evaluate(phi, team("x", ("a",)))
 
 
 @pytest.mark.parametrize("mode", MODES)

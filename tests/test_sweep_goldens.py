@@ -25,6 +25,7 @@ import pytest
 from teamsem import harness
 from teamsem.evaluator import Evaluator
 from teamsem.harness import SWEEPS, GridConfig, run_suite
+from teamsem.model import Team, subsets
 from teamsem.syntax import DepAtom, Possibly
 
 GRID = GridConfig((2,), 2, max_depth=1)
@@ -49,6 +50,14 @@ class LyingEvaluator(Evaluator):
         ):
             return not verdict
         return verdict
+
+    def first_subteam(self, phi, team, high):
+        # the search on masks would bypass `evaluate`: try each subteam
+        # through it instead, so the lie reaches the height witnesses too
+        for rows in subsets(team.rows, high=high):
+            if self.evaluate(phi, Team(team.vars, rows)):
+                return Team(team.vars, rows)
+        return None
 
 
 @contextlib.contextmanager
