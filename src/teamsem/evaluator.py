@@ -40,13 +40,16 @@ Each node is compiled on first use, once per `(node, vars)`, into one
 function of masks that reads and fills the node's own memo, keeps the
 counters and calls its children's functions directly, a conjunction both
 of them, so a chain of conjunctions costs one stack frame per level; the
-strategy is settled then, not per call.  Restriction and duplication are
-cached per whole mask, and a first-order node keeps a mask of the rows
-whose truth is known and one of those where it holds, so the engine runs
-once per row.  A split by subteam tables over more than `SPLIT_ROWS_LIMIT`
-rows is an `EvalError`, and so are a split's search of removals or a
-witness search that tries 2^`SPLIT_ROWS_LIMIT` candidates without success
-and a formula too deep for the interpreter's stack.
+strategy is settled then, not per call.  In fast mode a node over more
+columns than its free variables restricts the mask and calls the node
+over its free variables.  Restriction and duplication are cached per
+whole mask, and a first-order node keeps a mask of the rows whose truth
+is known and one of those where it holds, so the engine runs once per
+row.  A split by subteam tables over more than `SPLIT_ROWS_LIMIT` rows is
+an `EvalError`, and so are a search that tries 2^`SPLIT_ROWS_LIMIT`
+candidates without success (a split's removals, the subteams of a
+possibility, a witness or `first_subteam`) and a formula too deep for the
+interpreter's stack.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from __future__ import annotations
 import itertools
 import weakref
 from collections import defaultdict
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Callable, Iterable, Iterator
 
 from .atoms import AtomRegistry, DEFAULT_REGISTRY, eval_atom  # noqa: F401  (bench/tracer.py patches it by name)
@@ -194,13 +197,12 @@ def _bits(mask: int, row_of: dict[int, Row]) -> list[int]:
 
 
 def _at_most(candidates: Iterable, what: str) -> Iterator:
-    """`candidates` in their order, of which a search for a witness (or
-    for a split) may try 2^`SPLIT_ROWS_LIMIT`: drawing one more is an
-    `EvalError`."""
-    for count, candidate in enumerate(candidates):
-        if count == 1 << SPLIT_ROWS_LIMIT:
-            raise EvalError(f"a witness search tried 2^{SPLIT_ROWS_LIMIT} {what}, the limit, and found none")
-        yield candidate
+    """`candidates` in their order, of which a search may try
+    2^`SPLIT_ROWS_LIMIT`: drawing one more is an `EvalError`."""
+    candidates = iter(candidates)
+    yield from itertools.islice(candidates, 1 << SPLIT_ROWS_LIMIT)
+    for _ in candidates:
+        raise EvalError(f"a witness search tried 2^{SPLIT_ROWS_LIMIT} {what}, the limit, and found none")
 
 
 @dataclass(slots=True)
@@ -216,6 +218,10 @@ class EvalStats:
     def as_dict(self) -> dict[str, int]:
         return asdict(self)
 
+    def reset(self) -> None:
+        for field in fields(self):
+            setattr(self, field.name, 0)
+
 
 class Evaluator:
     """Evaluates formulas on teams over a fixed model.
@@ -225,8 +231,8 @@ class Evaluator:
     Node ids key a table only at or below a compiled node, which its entry
     keeps alive.  The memos of all nodes together stop growing at
     `MEMO_LIMIT` entries, and so does each table of team images or of atom
-    verdicts.  The compiled functions reach the counters through a one-slot
-    box behind `stats`, and the evaluator only through a weak proxy.
+    verdicts.  The compiled functions count into `stats`, one object for
+    the evaluator's life, and reach the evaluator only through a weak proxy.
     """
 
     def __init__(
@@ -240,12 +246,10 @@ class Evaluator:
         self.model = model
         self.registry = registry or DEFAULT_REGISTRY
         self.mode = mode
-        self._box = [EvalStats()]
+        self._stats = EvalStats()
         self._entries = [0]  # memo entries over all nodes
-        # per (node id, vars): the compiled node, the memo of a node compiled
-        # over its own columns, and a first-order node's rows
+        # per (node id, vars): the compiled node and a first-order node's rows
         self._compiled: dict[tuple, Callable[[int], bool]] = {}
-        self._memos: dict[tuple, dict[int, bool]] = {}
         self._truths: dict[tuple, Callable[[int], int]] = {}
         # row indexing: row -> bit, bit -> row per row width, and team
         # images per operation, each with its table
@@ -259,11 +263,7 @@ class Evaluator:
 
     @property
     def stats(self) -> EvalStats:
-        return self._box[0]
-
-    @stats.setter
-    def stats(self, stats: EvalStats) -> None:
-        self._box[0] = stats
+        return self._stats
 
     # -- public API ---------------------------------------------------------
 
@@ -282,9 +282,9 @@ class Evaluator:
         return self.evaluate(phi, SINGLETON_EMPTY_TEAM)
 
     def evaluate_with_stats(self, phi: Formula, team: Team) -> tuple[bool, dict[str, int]]:
-        self.stats = EvalStats()
+        self._stats.reset()
         out = self.evaluate(phi, team)
-        return out, self.stats.as_dict()
+        return out, self._stats.as_dict()
 
     # -- rows and masks ------------------------------------------------------
 
@@ -358,11 +358,11 @@ class Evaluator:
         masks hold the rows whose truth is known and the rows where it is
         true; the engine, compiled on first use, runs only on rows not yet
         known, in sorted-row order."""
-        box, model, row_of, run, masks = self._box, self.model, self._row_of[len(vars)], None, [0, 0]
+        stats, model, row_of, run, masks = self._stats, self.model, self._row_of[len(vars)], None, [0, 0]
 
         def satisfying(mask: int) -> int:  # its closure pins `phi`
             nonlocal run
-            box[0].tarski_rows += mask.bit_count()
+            stats.tarski_rows += mask.bit_count()
             if mask & ~masks[0]:
                 run = run or compile_fo(model, phi, vars)
                 for b in _bits(mask & ~masks[0], row_of):
@@ -387,35 +387,22 @@ class Evaluator:
 
     def _compile(self, node: Formula, vars: tuple[str, ...]) -> Callable[[int], bool]:
         """In fast mode a node over more columns than its free variables
-        restricts the mask and looks it up in the memo of the node over its
-        free variables, whose function runs on a miss only.  Any other node
-        reads and fills its own memo and counts, and on a miss runs its
-        body, built on first use; a conjunction calls its children from
-        here, so a chain of conjunctions costs one frame per level."""
-        box, fv = self._box, sorted_free_variables(node) if self.mode == "fast" else vars
+        restricts the mask and calls the node over its free variables.  Any
+        other node reads and fills its own memo and counts, and on a miss
+        runs its body, built on first use; a conjunction calls its children
+        from here, so a chain of conjunctions costs one frame per level."""
+        stats, fv = self._stats, sorted_free_variables(node) if self.mode == "fast" else vars
         if fv != vars:
-            inner, memo = self._at(node, fv), self._memos[id(node), fv]
-            restricted = self._restrict(vars, fv)
-
-            def narrowed(mask: int) -> bool:
-                sub = restricted(mask)
-                hit = memo.get(sub)
-                if hit is None:
-                    return inner(sub)
-                box[0].memo_hits += 1
-                return hit
-
-            return narrowed
-        me, entries, first, second = self._me, self._entries, None, None
-        memo = self._memos[id(node), vars] = {}
+            inner, restricted = self._at(node, fv), self._restrict(vars, fv)
+            return lambda mask: inner(restricted(mask))
+        me, entries, memo, first, second = self._me, self._entries, {}, None, None
 
         def run(mask: int) -> bool:
             nonlocal first, second
             hit = memo.get(mask)
             if hit is not None:
-                box[0].memo_hits += 1
+                stats.memo_hits += 1
                 return hit
-            stats = box[0]
             stats.nodes += 1
             if (n := mask.bit_count()) > stats.max_team_rows:
                 stats.max_team_rows = n
@@ -442,7 +429,8 @@ class Evaluator:
             satisfying = self._satisfying(node, vars)
             return lambda mask: all(satisfying(b) for b in _bits(mask, row_of))
         if isinstance(node, DepAtom):
-            # the direct evaluator on the projection, decided once per projection
+            # the direct evaluator on the projection, decided once per projection;
+            # the verdict table pays on locality's padded oracle teams
             direct, model, verdicts = self.registry.resolve_atom(node).direct, self.model, {}
             project, width = self._restrict(vars, node.args), len(node.args)
 
@@ -476,13 +464,13 @@ class Evaluator:
     # -- disjunction ----------------------------------------------------------
 
     def _split(self, node: Or, vars: tuple[str, ...]) -> Callable[[int], bool]:
-        box, row_of, registry = self._box, self._row_of[len(vars)], self.registry
+        stats, row_of, registry = self._stats, self._row_of[len(vars)], self.registry
         left, right = self._at(node.left, vars), self._at(node.right, vars)
         if self.mode == "naive":
 
             def covers(mask: int) -> bool:
                 for part_l, part_r in cover_parts(_bits(mask, row_of)):
-                    box[0].covers += 1
+                    stats.covers += 1
                     if left(sum(part_l)) and right(sum(part_r)):
                         return True
                 return False
@@ -519,7 +507,7 @@ class Evaluator:
                 raise EvalError(
                     f"a split over {n} rows needs tables of 2^{n} subteams; the limit is {SPLIT_ROWS_LIMIT} rows"
                 )
-            stats, sat_left, sat_right_closed = box[0], [], bytearray(1 << n)
+            sat_left, sat_right_closed = [], bytearray(1 << n)
             for local, sub in enumerate(_subteam_masks(bits)):
                 stats.subsets += 1
                 if left(sub):
@@ -547,7 +535,7 @@ class Evaluator:
         downwards closed psi need only hold on the rows where theta fails.
         Otherwise rows are removed from X, fewest first, each removal
         tried counting in `stats.subsets`."""
-        box, row_of, on_psi = self._box, self._row_of[len(vars)], self._at(psi, vars)
+        stats, row_of, on_psi = self._stats, self._row_of[len(vars)], self._at(psi, vars)
         if is_first_order(theta):
             removable, on_theta = self._satisfying(theta, vars), None
             if downward_closed(psi, self.registry):
@@ -556,7 +544,6 @@ class Evaluator:
             removable, on_theta = (lambda mask: mask), self._at(theta, vars)
 
         def search(mask: int) -> bool:
-            stats = box[0]
             for removed in _at_most(_subteams(_bits(removable(mask), row_of)), "splits"):
                 stats.subsets += 1
                 if on_psi(mask ^ removed) and (on_theta is None or on_theta(removed)):
@@ -568,7 +555,7 @@ class Evaluator:
     # -- existential ------------------------------------------------------------
 
     def _exists(self, node: Exists, vars: tuple[str, ...]) -> Callable[[int], bool]:
-        box, row_of = self._box, self._row_of[len(vars)]
+        stats, row_of = self._stats, self._row_of[len(vars)]
         body_vars, duplicated = self._assign(vars, node.var, self.model.domain)
         body = self._at(node.body, body_vars)
         if self.mode == "naive":
@@ -583,7 +570,7 @@ class Evaluator:
             def choices(mask: int) -> bool:
                 # a choice function picks one image per row, rows in sorted order
                 for pick in itertools.product(*([image(b) for image in images] for b in _bits(mask, row_of))):
-                    box[0].choices += 1
+                    stats.choices += 1
                     sub = 0
                     for one in pick:
                         sub |= one
@@ -601,7 +588,7 @@ class Evaluator:
 
             def constant(mask: int) -> bool:
                 for assigned in constants:
-                    box[0].choices += 1
+                    stats.choices += 1
                     if body(assigned(mask)):
                         return True
                 return False
@@ -634,7 +621,7 @@ class Evaluator:
         rows with lowest bit `low` jumps to `(local | low) & ~(low - 1)`:
         each mask in between shares its bits above `low` and lacks `low`, so
         it misses the group too."""
-        box, row_of, body = self._box, self._row_of[len(vars)], self._at(node.body, vars)
+        stats, row_of, body = self._stats, self._row_of[len(vars)], self._at(node.body, vars)
         origin = self._restrict(vars, tuple(v for v in vars if v != node.var))
 
         def search(doubled: int) -> bool:
@@ -646,7 +633,7 @@ class Evaluator:
                 groups[row] = groups.get(row, 0) | 1 << k
             # the group with the highest lowest bit first: it gives the largest jump
             lows = sorted(((g & -g, g) for g in groups.values()), reverse=True)
-            stats, local, end = box[0], 0, 1 << len(bits)
+            local, end = 0, 1 << len(bits)
             while local < end:
                 for low, g in lows:
                     if not local & g:
@@ -672,14 +659,14 @@ class Evaluator:
     # -- possibility ------------------------------------------------------------
 
     def _possibly(self, node: Possibly, vars: tuple[str, ...]) -> Callable[[int], bool]:
-        box, row_of, body = self._box, self._row_of[len(vars)], self._at(node.body, vars)
+        stats, row_of, body = self._stats, self._row_of[len(vars)], self._at(node.body, vars)
         if self.mode == "fast" and upward_fragment(node.body, self.registry):
             satisfying = self._satisfying(flatten(node.body), vars)
             return lambda mask: bool(kept := satisfying(mask)) and body(kept)
 
         def search(mask: int) -> bool:
-            for sub in _subteams(_bits(mask, row_of), 1):
-                box[0].subsets += 1
+            for sub in _at_most(_subteams(_bits(mask, row_of), 1), "subteams"):
+                stats.subsets += 1
                 if body(sub):
                     return True
             return False
@@ -729,11 +716,12 @@ class Evaluator:
     def first_subteam(self, phi: Formula, team: Team, high: int) -> Team | None:
         """The first subteam of `team` with at most `high` rows on which
         `phi` holds, in the order of `subsets` (None if there is none).
-        The search runs on masks; only the answer becomes a `Team`."""
+        The search runs on masks; only the answer becomes a `Team`.  It may
+        try 2^`SPLIT_ROWS_LIMIT` subteams, as `witness` may."""
         try:
             vars, mask = team.vars, self._mask(team.rows)
             holds = self._at(phi, vars)
-            for sub in _subteams(_bits(mask, self._row_of[len(vars)]), 0, high):
+            for sub in _at_most(_subteams(_bits(mask, self._row_of[len(vars)]), 0, high), "subteams"):
                 if holds(sub):
                     return Team(vars, frozenset(self._rows(sub, len(vars))))
             return None

@@ -644,6 +644,18 @@ def test_analyze_with_witness(capsys, model_file, team_file):
     assert report["witness"] == {"rows": [["a"], ["b"]], "vars": ["x"]}
 
 
+def test_analyze_tries_at_most_two_to_the_limit_subteams(capsys, tmp_path, monkeypatch):
+    # the witness is the 7th subteam tried: the empty one, five single rows, then the first pair
+    _, (model, team) = _alternating(tmp_path, 5)
+    args = ["analyze", "NE /\\ inconst(x)", "--model", model, "--team", team]
+    monkeypatch.setattr(teamsem.evaluator, "SPLIT_ROWS_LIMIT", 3)
+    assert main(args) == 0
+    assert json.loads(capsys.readouterr().out)["witness"] == {"rows": [["e00"], ["e01"]], "vars": ["x"]}
+    monkeypatch.setattr(teamsem.evaluator, "SPLIT_ROWS_LIMIT", 2)
+    assert main(args) == 2
+    assert capsys.readouterr().err == "error: a witness search tried 2^2 subteams, the limit, and found none\n"
+
+
 def test_analyze_needs_model_and_team_together(capsys, model_file):
     assert main(["analyze", "NE", "--model", model_file]) == 2
     assert "both --model and --team" in capsys.readouterr().err

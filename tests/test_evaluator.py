@@ -12,7 +12,7 @@ import pytest
 
 from teamsem import Model, Relation, Team, evaluate, evaluator, parse, sentence_true, syntax
 from teamsem.atoms import DEFAULT_REGISTRY
-from teamsem.evaluator import Evaluator, MODES, downward_closed, upward_fragment
+from teamsem.evaluator import EvalStats, Evaluator, MODES, downward_closed, upward_fragment
 from teamsem.model import EvalError, SINGLETON_EMPTY_TEAM, tarski_eval
 from teamsem.syntax import And, count_nodes, free_variables
 from teamsem.translator import desugar_possibility
@@ -222,6 +222,19 @@ def test_stats_agree_with_plain_eval(m2):
         X = team("xy", ("a", "a"), ("b", "a"))
         ok, _ = Evaluator(m2).evaluate_with_stats(phi, X)
         assert ok == evaluate(m2, X, phi)
+
+
+def test_evaluate_with_stats_zeroes_the_one_stats_object(m2):
+    ev, phi, X = Evaluator(m2), parse("P(x) \\/ !P(x)"), team("x", ("a",), ("b",))
+    stats = ev.stats
+    _, first = ev.evaluate_with_stats(phi, X)
+    assert first["nodes"] > 0
+    # the second call only reads the root's memo, and reports that alone
+    _, second = ev.evaluate_with_stats(phi, X)
+    assert second == dict.fromkeys(first, 0) | {"memo_hits": 1}
+    assert ev.stats is stats and stats.as_dict() == second
+    with pytest.raises(AttributeError):
+        ev.stats = EvalStats()
 
 
 def test_witness_kinds(m2):
@@ -446,6 +459,18 @@ def test_a_split_search_counts_its_candidates_against_the_limit(m2, monkeypatch)
     assert not ev.evaluate(phi, team("xy", ("a", "a"), ("b", "a")))
     assert ev.stats.subsets == 4
     with pytest.raises(EvalError, match="tried 2\\^2 splits"):
+        ev.evaluate(phi, team("xy", ("a", "a"), ("b", "a"), ("b", "b")))
+
+
+@pytest.mark.parametrize("mode", ["oracle", "fast"])
+def test_a_possibility_search_counts_its_candidates_against_the_limit(mode, m2, monkeypatch):
+    monkeypatch.setattr(evaluator, "SPLIT_ROWS_LIMIT", 2)
+    # dep is not upwards closed, so fast mode searches as well; no nonempty
+    # subteam satisfies the body, so every one is tried
+    phi, ev = parse("poss(dep(x; y) /\\ F)"), Evaluator(m2, mode=mode)
+    assert not ev.evaluate(phi, team("xy", ("a", "a"), ("b", "a")))
+    assert ev.stats.subsets == 3
+    with pytest.raises(EvalError, match="tried 2\\^2 subteams"):
         ev.evaluate(phi, team("xy", ("a", "a"), ("b", "a"), ("b", "b")))
 
 

@@ -206,23 +206,25 @@ def test_a_full_atom_verdict_table_matches_the_reference(mode, monkeypatch, pair
 @pytest.mark.parametrize(
     "text, modes",
     [
-        ("E s. (s = x /\\ dep(y; s))", ("fast",)),
-        ("E s. (const(s) /\\ incl(s; z))", ("fast",)),
-        ("A s. (s = s /\\ dep(x; y))", MODES),
+        ("E s. (s = x /\\ dep(y; s))", {"fast": {2: 6, 3: 22, 6: 2}}),
+        ("E s. (const(s) /\\ incl(s; z))", {"fast": {1: 4, 2: 11, 6: 2}}),
+        (
+            "A s. (s = s /\\ dep(x; y))",
+            {"naive": {2: 2, 6: 2, 7: 20}, "oracle": {2: 2, 6: 2, 7: 20}, "fast": {1: 10, 2: 2, 3: 40, 6: 2}},
+        ),
     ],
 )
 def test_masks_grow_with_rows_met_not_with_the_row_space(text, modes):
     # two rows of six columns, then a seventh: a bit per point of the row
-    # space would make every mask 10^7 bits wide
+    # space would make every mask 10^7 bits wide; each mode maps to the
+    # rows it numbers per width
     team = Team(("x", "y", "z", "u", "v", "w"), frozenset({WIDE.domain[:6], WIDE.domain[4:]}))
-    for mode in modes:
+    for mode, numbered in modes.items():
         new = Evaluator(WIDE, mode=mode)
         ref = evaluator_reference.Evaluator(WIDE, mode=mode)
         assert new.evaluate_with_stats(parse(text), team) == ref.evaluate_with_stats(parse(text), team)
-        # each node's memo is over rows of one width, numbered apart from the others
-        assert any(new._memos.values())
-        for (_, vars), memo in new._memos.items():
-            assert max(memo, default=0).bit_length() <= len(new._row_of[len(vars)])
+        # the rows of each width are numbered apart from the others
+        assert {width: len(rows) for width, rows in new._row_of.items()} == numbered
 
 
 def _outcome(ev, phi, team):
