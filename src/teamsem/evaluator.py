@@ -45,11 +45,14 @@ columns than its free variables restricts the mask and calls the node
 over its free variables.  Restriction and duplication are cached per
 whole mask, and a first-order node keeps a mask of the rows whose truth
 is known and one of those where it holds, so the engine runs once per
-row.  A split by subteam tables over more than `SPLIT_ROWS_LIMIT` rows is
-an `EvalError`, and so are a search that tries 2^`SPLIT_ROWS_LIMIT`
-candidates without success (a split's removals, the subteams of a
-possibility, a witness or `first_subteam`) and a formula too deep for the
-interpreter's stack.
+row.  An existential off the flattening-guided rewrite tries the teams
+X[F/var] as the product, over X's assignments, of the nonempty unions of
+each one's duplicated rows.  A split by subteam tables over more than
+`SPLIT_ROWS_LIMIT` rows is an `EvalError`, and so are a search that tries
+2^`SPLIT_ROWS_LIMIT` candidates without success (naive mode's covers and
+choice functions, a split's removals, an existential's supplemented teams,
+the subteams of a possibility, a witness or `first_subteam`), named in its
+message, and a formula too deep for the interpreter's stack.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ import itertools
 import weakref
 from collections import defaultdict
 from dataclasses import asdict, dataclass, fields
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Collection, Iterable, Iterator
 
 from .atoms import AtomRegistry, DEFAULT_REGISTRY, eval_atom  # noqa: F401  (bench/tracer.py patches it by name)
 from .model import (
@@ -196,13 +199,32 @@ def _bits(mask: int, row_of: dict[int, Row]) -> list[int]:
     return out
 
 
-def _at_most(candidates: Iterable, what: str) -> Iterator:
-    """`candidates` in their order, of which a search may try
+def _supplements(groups: Collection[list[int]]) -> Iterator[int]:
+    """The joins of one nonempty union of each of `groups`, the product of
+    each group's unions in ascending local mask with the first varying
+    fastest, in order up to the 2^`SPLIT_ROWS_LIMIT` + 1st.  A group of over
+    `SPLIT_ROWS_LIMIT` rows after one-row groups alone varies in those."""
+    room, lists = (1 << SPLIT_ROWS_LIMIT) + 1, []
+    for bits in groups:
+        if len(bits) > 1:  # a one-row group is its own list
+            if len(bits) > SPLIT_ROWS_LIMIT and room > 1 << SPLIT_ROWS_LIMIT:
+                base = sum(g[0] for g in groups) - bits[0]
+                return map(base.__add__, itertools.islice(_subteam_masks(bits), 1, None))
+            sets = bits[:1]
+            for b in bits[1 : room.bit_length()]:
+                sets += [b, *map(b.__or__, sets)]
+            bits, room = sets[:room], -(-room // len(sets))
+        lists.append(bits)
+    return map(sum, itertools.product(*reversed(lists)))
+
+
+def _at_most(candidates: Iterable, search: str, what: str) -> Iterator:
+    """`candidates` in their order, of which `search` may try
     2^`SPLIT_ROWS_LIMIT`: drawing one more is an `EvalError`."""
     candidates = iter(candidates)
     yield from itertools.islice(candidates, 1 << SPLIT_ROWS_LIMIT)
     for _ in candidates:
-        raise EvalError(f"a witness search tried 2^{SPLIT_ROWS_LIMIT} {what}, the limit, and found none")
+        raise EvalError(f"{search} tried 2^{SPLIT_ROWS_LIMIT} {what}, the limit, and found none")
 
 
 @dataclass(slots=True)
@@ -469,7 +491,7 @@ class Evaluator:
         if self.mode == "naive":
 
             def covers(mask: int) -> bool:
-                for part_l, part_r in cover_parts(_bits(mask, row_of)):
+                for part_l, part_r in _at_most(cover_parts(_bits(mask, row_of)), "a split search", "covers"):
                     stats.covers += 1
                     if left(sum(part_l)) and right(sum(part_r)):
                         return True
@@ -544,7 +566,7 @@ class Evaluator:
             removable, on_theta = (lambda mask: mask), self._at(theta, vars)
 
         def search(mask: int) -> bool:
-            for removed in _at_most(_subteams(_bits(removable(mask), row_of)), "splits"):
+            for removed in _at_most(_subteams(_bits(removable(mask), row_of)), "a split search", "splits"):
                 stats.subsets += 1
                 if on_psi(mask ^ removed) and (on_theta is None or on_theta(removed)):
                     return True
@@ -569,7 +591,8 @@ class Evaluator:
 
             def choices(mask: int) -> bool:
                 # a choice function picks one image per row, rows in sorted order
-                for pick in itertools.product(*([image(b) for image in images] for b in _bits(mask, row_of))):
+                picks = itertools.product(*([image(b) for image in images] for b in _bits(mask, row_of)))
+                for pick in _at_most(picks, "an existential search", "choice functions"):
                     stats.choices += 1
                     sub = 0
                     for one in pick:
@@ -614,44 +637,19 @@ class Evaluator:
         return lambda mask, sub: not of_team(mask) & ~of_sub(sub)
 
     def _exists_by_subsets(self, node: Exists, vars: tuple[str, ...]) -> Callable[[int], bool]:
-        """Search the subteams of a duplicated team that keep a row of every
-        original assignment, in ascending local mask (bit k: the k-th row in
-        sorted order), for one that satisfies the body; each mask passed over
-        counts in `stats.subsets`.  A mask `local` that misses a group of
-        rows with lowest bit `low` jumps to `(local | low) & ~(low - 1)`:
-        each mask in between shares its bits above `low` and lacks `low`, so
-        it misses the group too."""
+        """Search the supplemented teams X[F/var] for one that satisfies the
+        body: the `_supplements` of the duplicated rows grouped by assignment."""
         stats, row_of, body = self._stats, self._row_of[len(vars)], self._at(node.body, vars)
         origin = self._restrict(vars, tuple(v for v in vars if v != node.var))
 
         def search(doubled: int) -> bool:
-            bits = _bits(doubled, row_of)
-            # group the duplicated rows, as local bits, by originating assignment
-            groups: dict[int, int] = {}
-            for k, b in enumerate(bits):
-                row = origin(b)
-                groups[row] = groups.get(row, 0) | 1 << k
-            # the group with the highest lowest bit first: it gives the largest jump
-            lows = sorted(((g & -g, g) for g in groups.values()), reverse=True)
-            local, end = 0, 1 << len(bits)
-            while local < end:
-                for low, g in lows:
-                    if not local & g:
-                        break
-                else:
-                    stats.subsets += 1
-                    sub, rest = 0, local
-                    while rest:
-                        b = rest & -rest
-                        rest ^= b
-                        sub |= bits[b.bit_length() - 1]
-                    if body(sub):
-                        return True
-                    local += 1
-                    continue
-                jump = (local | low) & ~(low - 1)
-                stats.subsets += jump - local
-                local = jump
+            groups: dict[int, list[int]] = {}
+            for b in _bits(doubled, row_of):
+                groups.setdefault(origin(b), []).append(b)
+            for sub in _at_most(_supplements(groups.values()), "an existential search", "subteams"):
+                stats.subsets += 1
+                if body(sub):
+                    return True
             return False
 
         return search
@@ -665,7 +663,7 @@ class Evaluator:
             return lambda mask: bool(kept := satisfying(mask)) and body(kept)
 
         def search(mask: int) -> bool:
-            for sub in _at_most(_subteams(_bits(mask, row_of), 1), "subteams"):
+            for sub in _at_most(_subteams(_bits(mask, row_of), 1), "a possibility search", "subteams"):
                 stats.subsets += 1
                 if body(sub):
                     return True
@@ -692,7 +690,7 @@ class Evaluator:
         listed = lambda rows: [list(r) for r in sorted(rows)]  # noqa: E731
         if isinstance(phi, Or):
             left, right = self._at(phi.left, vars), self._at(phi.right, vars)
-            for part_l, part_r in _at_most(cover_parts(_bits(mask, row_of)), "splits"):
+            for part_l, part_r in _at_most(cover_parts(_bits(mask, row_of)), "a witness search", "splits"):
                 if left(sum(part_l)) and right(sum(part_r)):
                     part_l, part_r = [row_of[b] for b in part_l], [row_of[b] for b in part_r]
                     return {"kind": "split", "left": listed(part_l), "right": listed(part_r)}
@@ -700,12 +698,13 @@ class Evaluator:
             doubled_vars, duplicated = self._assign(vars, phi.var, self.model.domain)
             body, covers = self._at(phi.body, doubled_vars), self._covers(vars, doubled_vars, phi.var)
             width = len(doubled_vars)
-            for sub in _at_most(_subteams(_bits(duplicated(mask), self._row_of[width])), "subteams"):
+            subs = _subteams(_bits(duplicated(mask), self._row_of[width]))
+            for sub in _at_most(subs, "a witness search", "subteams"):
                 if covers(mask, sub) and body(sub):
                     return {"kind": "choice", "vars": list(doubled_vars), "rows": listed(self._rows(sub, width))}
         if isinstance(phi, Possibly):
             body = self._at(phi.body, vars)
-            for sub in _at_most(_subteams(_bits(mask, row_of), 1), "subteams"):
+            for sub in _at_most(_subteams(_bits(mask, row_of), 1), "a witness search", "subteams"):
                 if body(sub):
                     return {"kind": "subteam", "rows": listed(self._rows(sub, len(vars)))}
         if isinstance(phi, DepAtom):
@@ -720,8 +719,8 @@ class Evaluator:
         try 2^`SPLIT_ROWS_LIMIT` subteams, as `witness` may."""
         try:
             vars, mask = team.vars, self._mask(team.rows)
-            holds = self._at(phi, vars)
-            for sub in _at_most(_subteams(_bits(mask, self._row_of[len(vars)]), 0, high), "subteams"):
+            holds, subs = self._at(phi, vars), _subteams(_bits(mask, self._row_of[len(vars)]), 0, high)
+            for sub in _at_most(subs, "a witness search", "subteams"):
                 if holds(sub):
                     return Team(vars, frozenset(self._rows(sub, len(vars))))
             return None

@@ -4,13 +4,16 @@ every subteam a validated `Team`, every restriction a `team_restrict`.
 It is the slow, literal other side of the differential tests of
 `teamsem.evaluator`, which must match it in verdicts, `EvalStats` and
 witnesses, as `fo_reference` is for the first-order engine.  Apart from
-this docstring, absolute imports and the fast-mode split
-rules added since (`downward_closed`, `_split_down`) it is the evaluator
-verbatim."""
+this docstring, absolute imports, the fast-mode split
+rules added since (`downward_closed`, `_split_down`) and the existential's
+search as a product of each assignment's value sets it is the evaluator
+verbatim.  It has no search limit: the tests keep to teams whose searches
+stay below the evaluator's."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable
 
 from teamsem.atoms import AtomRegistry, DEFAULT_REGISTRY, eval_atom
@@ -441,25 +444,24 @@ class Evaluator:
         return all(r in origins for r in team.rows)
 
     def _exists_by_subsets(self, node: Exists, team: Team, doubled: Team) -> bool:
-        rows = doubled.sorted_rows
-        n = len(rows)
+        """The product over the original assignments of the nonempty sets
+        of each one's duplicated rows, the assignment with the lowest
+        sorted rows varying fastest and each one's sets in ascending local
+        mask; each team tried counts."""
         i = doubled.vars.index(node.var)
         # group the duplicated rows by originating assignment
-        groups: dict[Row, list[int]] = {}
-        for k, r in enumerate(rows):
-            groups.setdefault(r[:i] + r[i + 1 :], []).append(k)
-        group_masks = []
-        for ks in groups.values():
-            m = 0
-            for k in ks:
-                m |= 1 << k
-            group_masks.append(m)
-        for mask in range(0, 1 << n):
+        groups: dict[Row, list[Row]] = {}
+        for r in doubled.sorted_rows:
+            groups.setdefault(r[:i] + r[i + 1 :], []).append(r)
+        choices = []
+        for rows in reversed(groups.values()):
+            sets = [frozenset()]
+            for r in rows:
+                sets += [s | {r} for s in sets]
+            choices.append(sets[1:])
+        for pick in product(*choices):
             self.stats.subsets += 1
-            if any(not mask & g for g in group_masks):
-                continue
-            sub = Team(doubled.vars, frozenset(rows[k] for k in range(n) if mask >> k & 1))
-            if self._eval(node.body, sub):
+            if self._eval(node.body, Team(doubled.vars, frozenset().union(*pick))):
                 return True
         return False
 

@@ -26,6 +26,8 @@ from teamsem.evaluator import Evaluator
 from teamsem.harness import DEFAULT_GRID, run_suite
 from teamsem.translator import translate
 
+pytestmark = pytest.mark.acceptance
+
 GOLDENS = pathlib.Path(__file__).parent / "goldens" / "translations.json"
 
 

@@ -288,6 +288,14 @@ def test_eval_witness_tries_at_most_two_to_the_limit_subteams(capsys, tmp_path, 
         monkeypatch.undo()
 
 
+def test_eval_names_the_search_that_reached_the_limit(capsys, tmp_path, monkeypatch):
+    # no nonempty subteam satisfies the body: 7 of 3 rows, past 2^2
+    _, (model, team) = _alternating(tmp_path, 3)
+    monkeypatch.setattr(teamsem.evaluator, "SPLIT_ROWS_LIMIT", 2)
+    assert main(["eval", "poss(dep(x; x) /\\ F)", "--model", model, "--team", team]) == 2
+    assert capsys.readouterr().err == "error: a possibility search tried 2^2 subteams, the limit, and found none\n"
+
+
 def test_eval_witness_of_a_one_row_team_duplicated_over_a_large_domain(capsys, tmp_path):
     # one row doubles to 21 rows, 2^21 subteams; the witness is the second tried
     _, (model, _) = _alternating(tmp_path, 21)

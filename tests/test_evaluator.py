@@ -474,6 +474,69 @@ def test_a_possibility_search_counts_its_candidates_against_the_limit(mode, m2, 
         ev.evaluate(phi, team("xy", ("a", "a"), ("b", "a"), ("b", "b")))
 
 
+@pytest.mark.parametrize("mode", ["oracle", "fast"])
+def test_an_existential_search_counts_its_candidates_against_the_limit(mode, m2, monkeypatch):
+    monkeypatch.setattr(evaluator, "SPLIT_ROWS_LIMIT", 2)
+    # off the upward fragment, its flattening keeps every duplicated row,
+    # and only the empty team satisfies the body, so every candidate is tried
+    phi = parse("E y. (incl(x; y) /\\ excl(x; y))")
+    ev = Evaluator(m2, mode=mode)
+    assert not ev.evaluate(phi, team("x", ("a",)))
+    assert ev.stats.subsets == 3
+    with pytest.raises(EvalError, match="an existential search tried 2\\^2 subteams"):
+        Evaluator(m2, mode=mode).evaluate(phi, team("x", ("a",), ("b",)))
+
+
+def test_an_existential_search_draws_the_same_candidates_from_cut_lists(monkeypatch):
+    monkeypatch.setattr(evaluator, "SPLIT_ROWS_LIMIT", 2)
+    # two assignments with seven value sets each; the first five candidates
+    # take the first five sets of x = a and the first set of x = b
+    m = Model(("a", "b", "c"), {"R": Relation(2, frozenset({("a", "c"), ("b", "a")}))}, {"c0": "c"})
+    X = team("x", ("a",), ("b",))
+    ev = Evaluator(m, mode="oracle")
+    assert ev.evaluate(parse("E y. R(x, y)"), X)  # {ac, ba} is the fourth
+    assert ev.stats.subsets == 4
+    with pytest.raises(EvalError, match="tried 2\\^2 subteams"):
+        ev.evaluate(parse("E y. (R(x, y) /\\ y != c0)", m.constants), X)
+
+
+def test_an_existential_over_a_large_domain_answers_at_its_first_candidate():
+    # each assignment duplicates to 2^30 - 1 or 2^40 - 1 value sets, past the
+    # limit; the first team tried, each assignment's first value, holds
+    m30 = Model(tuple(f"e{i:02}" for i in range(30)), {}, {})
+    ev = Evaluator(m30, mode="oracle")
+    assert ev.evaluate(parse("E y. x = x"), team("x", *[(e,) for e in m30.domain]))
+    assert ev.stats.subsets == 1
+    m40 = Model(tuple(f"e{i:02}" for i in range(40)), {}, {})
+    ev = Evaluator(m40, mode="oracle")
+    assert ev.evaluate(parse("E y. y = x"), team("x", ("e00",)))
+    assert ev.stats.subsets == 1
+
+
+@pytest.mark.parametrize("sizes", [(), (5,), (1, 5, 2), (2, 5), (1, 1, 2, 2), (3, 1, 3)])
+def test_supplements_are_the_first_joins_of_the_whole_product(sizes, monkeypatch):
+    monkeypatch.setattr(evaluator, "SPLIT_ROWS_LIMIT", 3)
+    # each group's unions in ascending local mask, the first group varying fastest
+    bits = iter(1 << k for k in range(sum(sizes)))
+    groups = [[next(bits) for _ in range(n)] for n in sizes]
+    unions = [[sum(b for k, b in enumerate(g) if m >> k & 1) for m in range(1, 1 << len(g))] for g in groups]
+    whole = map(sum, itertools.product(*reversed(unions)))
+    assert list(itertools.islice(evaluator._supplements(groups), 9)) == list(itertools.islice(whole, 9))
+
+
+def test_naive_searches_count_their_candidates_against_the_limit(m2, monkeypatch):
+    monkeypatch.setattr(evaluator, "SPLIT_ROWS_LIMIT", 2)
+    ev = Evaluator(m2, mode="naive")
+    # 3 covers of one row and 3 choice functions of it; 9 of two rows
+    assert not ev.evaluate(parse("F \\/ F"), team("x", ("a",)))
+    assert not ev.evaluate(parse("E y. F"), team("x", ("a",)))
+    assert (ev.stats.covers, ev.stats.choices) == (3, 3)
+    with pytest.raises(EvalError, match="a split search tried 2\\^2 covers"):
+        ev.evaluate(parse("F \\/ F"), team("x", ("a",), ("b",)))
+    with pytest.raises(EvalError, match="an existential search tried 2\\^2 choice functions"):
+        ev.evaluate(parse("E y. F"), team("x", ("a",), ("b",)))
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_an_evaluator_is_freed_without_the_cycle_collector(mode, m2):
     # the compiled functions must not refer back to their evaluator: a

@@ -144,8 +144,9 @@ def test_a_full_memo_matches_the_reference_under_the_same_limit(mode, monkeypatc
     ids=["desugared-poss", "exists"],
 )
 def test_covering_jumps_over_nine_duplicated_rows(phi, modes):
-    # three rows duplicated over three elements: 512 local masks, of which
-    # most miss some row, so the search jumps far between covering masks
+    # three rows duplicated over three elements: of the 512 subteams, the
+    # search tries only the 7^3 that keep a row of every original
+    # assignment, as the product of each assignment's value sets
     rows = sorted(itertools.product(M3.domain, repeat=2))
     teams = [Team(("x", "y"), frozenset(c)) for c in itertools.combinations(rows, 3)]
     for mode in modes:
