@@ -47,12 +47,18 @@ whole mask, and a first-order node keeps a mask of the rows whose truth
 is known and one of those where it holds, so the engine runs once per
 row.  An existential off the flattening-guided rewrite tries the teams
 X[F/var] as the product, over X's assignments, of the nonempty unions of
-each one's duplicated rows.  A split by subteam tables over more than
-`SPLIT_ROWS_LIMIT` rows is an `EvalError`, and so are a search that tries
-2^`SPLIT_ROWS_LIMIT` candidates without success (naive mode's covers and
-choice functions, a split's removals, an existential's supplemented teams,
-the subteams of a possibility, a witness or `first_subteam`), named in its
-message, and a formula too deep for the interpreter's stack.
+each one's duplicated rows.  Fast mode runs that search only on the
+duplicated rows where the body's flattening holds, and splits the body's
+conjunction spine by closure: first-order parts are dropped, an upwards
+closed atom that fails on those rows ends the search, a downwards closed
+one that holds on them is dropped, and each team tried checks the upwards
+closed atoms, the remaining downwards closed ones and then the other parts.
+A split by subteam tables over more than `SPLIT_ROWS_LIMIT` rows is an
+`EvalError`, and so are a search that tries 2^`SPLIT_ROWS_LIMIT`
+candidates without success (naive mode's covers and choice functions, a
+split's removals, an existential's supplemented teams, the subteams of a
+possibility, a witness or `first_subteam`), named in its message, and a
+formula too deep for the interpreter's stack.
 """
 
 from __future__ import annotations
@@ -160,6 +166,19 @@ def _forces_constant(node: Exists) -> bool:
         elif isinstance(cur, And) or (isinstance(cur, (Exists, Forall)) and cur.var != node.var):
             stack.extend(_children(cur))
     return False
+
+
+def _conjuncts(phi: Formula) -> list[Formula]:
+    """The parts of the conjunction spine at `phi`, left to right; a loop,
+    so a long spine costs no recursion."""
+    parts, stack = [], [phi]
+    while stack:
+        cur = stack.pop()
+        if isinstance(cur, And):
+            stack += cur.right, cur.left
+        else:
+            parts.append(cur)
+    return parts
 
 
 def _subteam_masks(bits: list[int]) -> Iterator[int]:
@@ -638,17 +657,45 @@ class Evaluator:
 
     def _exists_by_subsets(self, node: Exists, vars: tuple[str, ...]) -> Callable[[int], bool]:
         """Search the supplemented teams X[F/var] for one that satisfies the
-        body: the `_supplements` of the duplicated rows grouped by assignment."""
-        stats, row_of, body = self._stats, self._row_of[len(vars)], self._at(node.body, vars)
+        body: the `_supplements` of the duplicated rows grouped by assignment.
+
+        Fast mode searches only the duplicated rows where the body's
+        flattening holds, so every candidate is a subteam of them and the
+        parts of the body's conjunction spine split by closure: a first-order
+        part holds on every candidate by flatness, an upwards closed atom that
+        fails on those rows fails on every candidate, and a downwards closed
+        atom that holds on them holds on every candidate.  A candidate checks
+        the upwards closed atoms, then the downwards closed ones that failed
+        on those rows, then the other parts in spine order."""
+        stats, row_of = self._stats, self._row_of[len(vars)]
         origin = self._restrict(vars, tuple(v for v in vars if v != node.var))
+        ups, downs, rest = [], [], []
+        if self.mode == "fast":
+            for part in _conjuncts(node.body):
+                atom = self.registry.resolve_atom(part) if isinstance(part, DepAtom) else None
+                if atom and atom.upwards_closed:
+                    ups.append(self._at(part, vars))
+                elif atom and atom.downwards_closed:
+                    downs.append(self._at(part, vars))
+                elif atom or not is_first_order(part):
+                    rest.append(self._at(part, vars))
+        else:
+            rest.append(self._at(node.body, vars))
 
         def search(doubled: int) -> bool:
+            for up in ups:
+                if not up(doubled):
+                    return False
+            checks = [*ups, *(down for down in downs if not down(doubled)), *rest]
             groups: dict[int, list[int]] = {}
             for b in _bits(doubled, row_of):
                 groups.setdefault(origin(b), []).append(b)
             for sub in _at_most(_supplements(groups.values()), "an existential search", "subteams"):
                 stats.subsets += 1
-                if body(sub):
+                for check in checks:
+                    if not check(sub):
+                        break
+                else:
                     return True
             return False
 

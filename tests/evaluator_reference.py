@@ -4,9 +4,10 @@ every subteam a validated `Team`, every restriction a `team_restrict`.
 It is the slow, literal other side of the differential tests of
 `teamsem.evaluator`, which must match it in verdicts, `EvalStats` and
 witnesses, as `fo_reference` is for the first-order engine.  Apart from
-this docstring, absolute imports, the fast-mode split
-rules added since (`downward_closed`, `_split_down`) and the existential's
-search as a product of each assignment's value sets it is the evaluator
+this docstring, absolute imports, the fast-mode split rules added since
+(`downward_closed`, `_split_down`), the existential's search as a product
+of each assignment's value sets and, in fast mode, that search's split of
+the body's conjunction spine by closure (`_conjuncts`) it is the evaluator
 verbatim.  It has no search limit: the tests keep to teams whose searches
 stay below the evaluator's."""
 
@@ -143,6 +144,13 @@ def _forces_constant(node: Exists) -> bool:
             if any(node.var in group for group in cur.groups):
                 return True
     return False
+
+
+def _conjuncts(phi: Formula) -> list[Formula]:
+    """The parts of the conjunction spine at `phi`, left to right."""
+    if isinstance(phi, And):
+        return _conjuncts(phi.left) + _conjuncts(phi.right)
+    return [phi]
 
 
 def _assign_constant(team: Team, var: str, value: str) -> Team:
@@ -447,7 +455,31 @@ class Evaluator:
         """The product over the original assignments of the nonempty sets
         of each one's duplicated rows, the assignment with the lowest
         sorted rows varying fastest and each one's sets in ascending local
-        mask; each team tried counts."""
+        mask; each team tried counts.  In fast mode `doubled` holds the rows
+        where the body's flattening holds, and the body's conjunction spine
+        splits by closure: first-order parts are dropped, an upwards closed
+        atom failing on `doubled` ends the search, a downwards closed atom
+        holding on it is dropped, and each team tried checks the upwards
+        closed atoms, the remaining downwards closed ones, then the other
+        parts in spine order."""
+        if self.mode == "fast":
+            ups, downs, rest = [], [], []
+            for part in _conjuncts(node.body):
+                if isinstance(part, DepAtom):
+                    atom = self.registry.resolve_atom(part)
+                    if atom.upwards_closed:
+                        ups.append(part)
+                    elif atom.downwards_closed:
+                        downs.append(part)
+                    else:
+                        rest.append(part)
+                elif not is_first_order(part):
+                    rest.append(part)
+            if not all(self._eval(up, doubled) for up in ups):
+                return False
+            checks = ups + [down for down in downs if not self._eval(down, doubled)] + rest
+        else:
+            checks = [node.body]
         i = doubled.vars.index(node.var)
         # group the duplicated rows by originating assignment
         groups: dict[Row, list[Row]] = {}
@@ -461,7 +493,8 @@ class Evaluator:
             choices.append(sets[1:])
         for pick in product(*choices):
             self.stats.subsets += 1
-            if self._eval(node.body, Team(doubled.vars, frozenset().union(*pick))):
+            sub = Team(doubled.vars, frozenset().union(*pick))
+            if all(self._eval(check, sub) for check in checks):
                 return True
         return False
 

@@ -10,6 +10,9 @@ searches shows up here.
 Regenerate the golden file, only when an output is meant to change, with
 
     PYTHONPATH=src python3 tests/test_eval_goldens.py
+
+which first prints each formula, mode and JSON field that differs from the
+file it replaces.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ FORMULAS = (
     "const(x) \\/ const(y)",
     "E z. (z = x /\\ incl(z; y))",
     "NE /\\ (P(x) \\/ !P(x)) /\\ (x = c0 \\/ x != c0)",
+    "E z. (z = c0 /\\ inconst(z) /\\ incl(z; y))",
 )
 
 
@@ -90,5 +94,20 @@ def test_golden_covers_exactly_the_formula_set():
     assert sorted(json.loads(GOLDEN.read_text())) == sorted(FORMULAS)
 
 
+def changes(old, new, field=""):
+    """The dotted JSON fields where two decoded outputs differ, with both values."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(old.keys() | new.keys()):
+            yield from changes(old.get(key), new.get(key), f"{field}.{key}" if field else key)
+    elif old != new:
+        yield field or "(output)", old, new
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(render(), indent=2, sort_keys=True) + "\n")
+    fresh, committed = render(), json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    for formula in sorted(fresh.keys() | committed.keys()):
+        for mode in MODES:
+            old, new = (json.loads(runs[formula][mode]) if formula in runs else None for runs in (committed, fresh))
+            for field, before, after in changes(old, new):
+                print(f"{formula} | {mode} | {field}: {json.dumps(before)} -> {json.dumps(after)}")
+    GOLDEN.write_text(json.dumps(fresh, indent=2, sort_keys=True) + "\n")

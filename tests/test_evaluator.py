@@ -513,6 +513,53 @@ def test_an_existential_over_a_large_domain_answers_at_its_first_candidate():
     assert ev.stats.subsets == 1
 
 
+def test_an_upwards_closed_atom_failing_on_the_kept_rows_ends_the_search(m2):
+    # the flattening keeps (a, a) alone, where inconst(y) fails, so no
+    # candidate can satisfy it; on {a, b} it holds and the search runs
+    phi = parse("E y. (y = x /\\ inconst(y) /\\ dep(x; y))")
+    ev = Evaluator(m2)
+    assert not ev.evaluate(phi, team("x", ("a",)))
+    assert ev.stats.subsets == 0
+    assert not evaluate(m2, team("x", ("a",)), phi, mode="oracle")
+    assert ev.evaluate(phi, team("x", ("a",), ("b",)))
+    assert ev.stats.subsets == 1
+
+
+def test_a_downwards_closed_atom_failing_on_the_kept_rows_decides_each_candidate(m3):
+    # excl(x; y) fails on all three duplicated rows but holds on {ab, ac},
+    # the sixth candidate; dropped, it would let {aa, ab}, the third, pass
+    phi, X = parse("E y. (inconst(y) /\\ excl(x; y))"), team("x", ("a",))
+    ev = Evaluator(m3)
+    assert ev.evaluate(phi, X)
+    assert ev.stats.subsets == 6
+    assert evaluate(m3, X, phi, mode="oracle")
+
+
+def test_an_atom_rejecting_each_candidate_spares_the_later_parts(m2, monkeypatch):
+    # const(x) fails on every candidate; taken in spine order, the split
+    # before it would need tables over the six rows of the last candidate
+    phi = parse("E y. ((incl(x; y) \\/ incl(z; y)) /\\ const(x))")
+    X = team("xz", ("a", "a"), ("a", "b"), ("b", "a"))
+    assert not evaluate(m2, X, phi, mode="oracle")
+    monkeypatch.setattr(evaluator, "SPLIT_ROWS_LIMIT", 5)
+    ev = Evaluator(m2)
+    assert not ev.evaluate(phi, X)
+    assert ev.stats.subsets == 27
+
+
+def test_a_searching_existential_over_a_long_conjunction(m2):
+    # the body's spine is split by a loop: 450 conjuncts evaluate, and 500
+    # are too deep for the flattening's engine, before any search
+    X = team("x", ("a",))
+    body = lambda n: " /\\ ".join(["dep(x; y)"] + ["P(x)"] * (n - 1))  # noqa: E731
+    ev = Evaluator(m2)
+    assert ev.evaluate(parse(f"E y. ({body(450)})"), X)
+    assert ev.stats.subsets == 1
+    assert evaluate(m2, X, parse(f"E y. ({body(450)})"), mode="oracle")
+    with pytest.raises(EvalError, match="too deeply"):
+        ev.evaluate(parse(f"E y. ({body(500)})"), X)
+
+
 @pytest.mark.parametrize("sizes", [(), (5,), (1, 5, 2), (2, 5), (1, 1, 2, 2), (3, 1, 3)])
 def test_supplements_are_the_first_joins_of_the_whole_product(sizes, monkeypatch):
     monkeypatch.setattr(evaluator, "SPLIT_ROWS_LIMIT", 3)

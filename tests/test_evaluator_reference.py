@@ -207,7 +207,7 @@ def test_a_full_atom_verdict_table_matches_the_reference(mode, monkeypatch, pair
 @pytest.mark.parametrize(
     "text, modes",
     [
-        ("E s. (s = x /\\ dep(y; s))", {"fast": {2: 6, 3: 22, 6: 2}}),
+        ("E s. (s = x /\\ dep(y; s))", {"fast": {2: 4, 3: 20, 6: 2}}),
         ("E s. (const(s) /\\ incl(s; z))", {"fast": {1: 4, 2: 11, 6: 2}}),
         (
             "A s. (s = s /\\ dep(x; y))",
