@@ -29,10 +29,12 @@ from .atoms import (
 )
 from .evaluator import EvalError, Evaluator, MODES
 from .harness import (
+    DEFAULT_COST_BUDGET,
     GridConfig,
     HarnessError,
     check_formula_equivalence,
     check_translation_equivalence,
+    eval_cost_estimate,
     grid_from_env,
     run_suite,
 )
@@ -218,10 +220,19 @@ def cmd_translate(args: argparse.Namespace) -> int:
         tuple_vars = tuple(sorted(free_variables(phi)))
     result = translate(phi, tuple_vars, registry, simplify_output=args.simplify)
     if args.verify:
+        grid = _grid(args)
+        if args.mode != "fast":
+            # the sweep's budget gate would leave these domains undecided
+            worst = max(eval_cost_estimate(phi, d, grid.max_rows, args.mode) for d in grid.doms)
+            if worst > DEFAULT_COST_BUDGET:
+                raise HarnessError(
+                    f"verifying in {args.mode} mode would cost an estimated {worst:.3g} steps, over the "
+                    f"budget of {DEFAULT_COST_BUDGET:.3g}; verify in fast mode or on a smaller grid"
+                )
         report = check_translation_equivalence(
             phi,
             tuple_vars,
-            grid=_grid(args),
+            grid=grid,
             registry=registry,
             mode=args.mode,
             jobs=args.jobs,

@@ -42,8 +42,15 @@ counters and calls its children's functions directly, a conjunction both
 of them, so a chain of conjunctions costs one stack frame per level; the
 strategy is settled then, not per call.  In fast mode a node over more
 columns than its free variables restricts the mask and calls the node
-over its free variables.  Restriction and duplication are cached per
-whole mask, and a first-order node keeps a mask of the rows whose truth
+over its free variables, and a team's columns stay sorted: X[F/var] puts
+the new column where sorted order puts it, so a body over all of those
+columns is called on the supplemented mask itself, with no column
+permutation between.  An existential's search still takes the
+assignments in the order they would have with that column last, and a
+witness lists it last; `oracle` and `naive` append it.  A restriction
+onto all of a team's columns, in their order, is the mask itself and
+builds no table.  Other restriction and duplication images are cached
+per whole mask, and a first-order node keeps a mask of the rows whose truth
 is known and one of those where it holds, so the engine runs once per
 row.  An existential off the flattening-guided rewrite tries the teams
 X[F/var] as the product, over X's assignments, of the nonempty unions of
@@ -63,11 +70,12 @@ formula too deep for the interpreter's stack.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import weakref
 from collections import defaultdict
 from dataclasses import asdict, dataclass, fields
-from typing import Callable, Collection, Iterable, Iterator
+from typing import Callable, Collection, Iterator
 
 from .atoms import AtomRegistry, DEFAULT_REGISTRY, eval_atom  # noqa: F401  (bench/tracer.py patches it by name)
 from .model import (
@@ -237,13 +245,11 @@ def _supplements(groups: Collection[list[int]]) -> Iterator[int]:
     return map(sum, itertools.product(*reversed(lists)))
 
 
-def _at_most(candidates: Iterable, search: str, what: str) -> Iterator:
-    """`candidates` in their order, of which `search` may try
-    2^`SPLIT_ROWS_LIMIT`: drawing one more is an `EvalError`."""
-    candidates = iter(candidates)
-    yield from itertools.islice(candidates, 1 << SPLIT_ROWS_LIMIT)
-    for _ in candidates:
-        raise EvalError(f"{search} tried 2^{SPLIT_ROWS_LIMIT} {what}, the limit, and found none")
+def _past_limit(search: str, what: str) -> EvalError:
+    """The error of `search` drawing a candidate past the 2^`SPLIT_ROWS_LIMIT`
+    it may try; each search counts its candidates k from 0 and raises it
+    once `k >> SPLIT_ROWS_LIMIT` is nonzero."""
+    return EvalError(f"{search} tried 2^{SPLIT_ROWS_LIMIT} {what}, the limit, and found none")
 
 
 @dataclass(slots=True)
@@ -376,7 +382,10 @@ class Evaluator:
         return self._images.setdefault(key, apply)
 
     def _restrict(self, vars: tuple[str, ...], to: tuple[str, ...]) -> Callable[[int], int]:
-        """X restricted to the columns `to`."""
+        """X restricted to the columns `to`; onto all of `vars`, in their
+        order, the mask itself, with no table."""
+        if to == vars:
+            return int  # an int's int() is itself
         me, bit_of, idx = self._me, self._bit_of, [vars.index(v) for v in to]
 
         def image(row: Row) -> int:
@@ -385,11 +394,17 @@ class Evaluator:
 
         return self._image((vars, to), len(vars), image)
 
-    def _assign(self, vars: tuple[str, ...], var: str, values) -> tuple[tuple[str, ...], Callable[[int], int]]:
-        """X[values/var]: every row extended with, or overwritten by, each value."""
-        me, i = self._me, vars.index(var) if var in vars else len(vars)
-        image = lambda row: sum({me._bit(row[:i] + (m,) + row[i + 1 :]) for m in values})  # noqa: E731
-        return vars[:i] + (var,) + vars[i + 1 :], self._image((vars, var, tuple(values)), len(vars), image)
+    def _assign(
+        self, vars: tuple[str, ...], var: str, values, last: bool = False
+    ) -> tuple[tuple[str, ...], Callable[[int], int]]:
+        """X[values/var]: every row extended with, or overwritten by, each
+        value.  A new column goes where sorted order puts it in fast mode,
+        so X[F/var] over sorted columns stays sorted, and last otherwise or
+        when `last` is set."""
+        me, over = self._me, var in vars  # as an int, the columns it replaces
+        i = vars.index(var) if over else bisect.bisect(vars, var) if self.mode == "fast" and not last else len(vars)
+        image = lambda row: sum({me._bit(row[:i] + (m,) + row[i + over :]) for m in values})  # noqa: E731
+        return vars[:i] + (var,) + vars[i + over :], self._image((vars, var, i, tuple(values)), len(vars), image)
 
     # -- first-order nodes -------------------------------------------------------
 
@@ -510,7 +525,9 @@ class Evaluator:
         if self.mode == "naive":
 
             def covers(mask: int) -> bool:
-                for part_l, part_r in _at_most(cover_parts(_bits(mask, row_of)), "a split search", "covers"):
+                for k, (part_l, part_r) in enumerate(cover_parts(_bits(mask, row_of))):
+                    if k >> SPLIT_ROWS_LIMIT:
+                        raise _past_limit("a split search", "covers")
                     stats.covers += 1
                     if left(sum(part_l)) and right(sum(part_r)):
                         return True
@@ -585,7 +602,9 @@ class Evaluator:
             removable, on_theta = (lambda mask: mask), self._at(theta, vars)
 
         def search(mask: int) -> bool:
-            for removed in _at_most(_subteams(_bits(removable(mask), row_of)), "a split search", "splits"):
+            for k, removed in enumerate(_subteams(_bits(removable(mask), row_of))):
+                if k >> SPLIT_ROWS_LIMIT:
+                    raise _past_limit("a split search", "splits")
                 stats.subsets += 1
                 if on_psi(mask ^ removed) and (on_theta is None or on_theta(removed)):
                     return True
@@ -611,7 +630,9 @@ class Evaluator:
             def choices(mask: int) -> bool:
                 # a choice function picks one image per row, rows in sorted order
                 picks = itertools.product(*([image(b) for image in images] for b in _bits(mask, row_of)))
-                for pick in _at_most(picks, "an existential search", "choice functions"):
+                for k, pick in enumerate(picks):
+                    if k >> SPLIT_ROWS_LIMIT:
+                        raise _past_limit("an existential search", "choice functions")
                     stats.choices += 1
                     sub = 0
                     for one in pick:
@@ -667,8 +688,11 @@ class Evaluator:
         atom that holds on them holds on every candidate.  A candidate checks
         the upwards closed atoms, then the downwards closed ones that failed
         on those rows, then the other parts in spine order."""
-        stats, row_of = self._stats, self._row_of[len(vars)]
-        origin = self._restrict(vars, tuple(v for v in vars if v != node.var))
+        stats, row_of, i = self._stats, self._row_of[len(vars)], vars.index(node.var)
+        origin = self._restrict(vars, vars[:i] + vars[i + 1 :])
+        # fast mode's bound column sorts among the others, but the assignments
+        # take their turns as with it last: in sorted order
+        resort, origin_row = self.mode == "fast" and i < len(vars) - 1, self._row_of[len(vars) - 1].__getitem__
         ups, downs, rest = [], [], []
         if self.mode == "fast":
             for part in _conjuncts(node.body):
@@ -690,7 +714,11 @@ class Evaluator:
             groups: dict[int, list[int]] = {}
             for b in _bits(doubled, row_of):
                 groups.setdefault(origin(b), []).append(b)
-            for sub in _at_most(_supplements(groups.values()), "an existential search", "subteams"):
+            if resort and len(groups) > 1:
+                groups = {o: groups[o] for o in sorted(groups, key=origin_row)}
+            for k, sub in enumerate(_supplements(groups.values())):
+                if k >> SPLIT_ROWS_LIMIT:
+                    raise _past_limit("an existential search", "subteams")
                 stats.subsets += 1
                 for check in checks:
                     if not check(sub):
@@ -710,7 +738,9 @@ class Evaluator:
             return lambda mask: bool(kept := satisfying(mask)) and body(kept)
 
         def search(mask: int) -> bool:
-            for sub in _at_most(_subteams(_bits(mask, row_of), 1), "a possibility search", "subteams"):
+            for k, sub in enumerate(_subteams(_bits(mask, row_of), 1)):
+                if k >> SPLIT_ROWS_LIMIT:
+                    raise _past_limit("a possibility search", "subteams")
                 stats.subsets += 1
                 if body(sub):
                     return True
@@ -737,21 +767,28 @@ class Evaluator:
         listed = lambda rows: [list(r) for r in sorted(rows)]  # noqa: E731
         if isinstance(phi, Or):
             left, right = self._at(phi.left, vars), self._at(phi.right, vars)
-            for part_l, part_r in _at_most(cover_parts(_bits(mask, row_of)), "a witness search", "splits"):
+            for k, (part_l, part_r) in enumerate(cover_parts(_bits(mask, row_of))):
+                if k >> SPLIT_ROWS_LIMIT:
+                    raise _past_limit("a witness search", "splits")
                 if left(sum(part_l)) and right(sum(part_r)):
                     part_l, part_r = [row_of[b] for b in part_l], [row_of[b] for b in part_r]
                     return {"kind": "split", "left": listed(part_l), "right": listed(part_r)}
         if isinstance(phi, Exists):
-            doubled_vars, duplicated = self._assign(vars, phi.var, self.model.domain)
+            # the bound column last, in fast mode too: it orders the candidates and the rows listed
+            doubled_vars, duplicated = self._assign(vars, phi.var, self.model.domain, last=True)
             body, covers = self._at(phi.body, doubled_vars), self._covers(vars, doubled_vars, phi.var)
             width = len(doubled_vars)
             subs = _subteams(_bits(duplicated(mask), self._row_of[width]))
-            for sub in _at_most(subs, "a witness search", "subteams"):
+            for k, sub in enumerate(subs):
+                if k >> SPLIT_ROWS_LIMIT:
+                    raise _past_limit("a witness search", "subteams")
                 if covers(mask, sub) and body(sub):
                     return {"kind": "choice", "vars": list(doubled_vars), "rows": listed(self._rows(sub, width))}
         if isinstance(phi, Possibly):
             body = self._at(phi.body, vars)
-            for sub in _at_most(_subteams(_bits(mask, row_of), 1), "a witness search", "subteams"):
+            for k, sub in enumerate(_subteams(_bits(mask, row_of), 1)):
+                if k >> SPLIT_ROWS_LIMIT:
+                    raise _past_limit("a witness search", "subteams")
                 if body(sub):
                     return {"kind": "subteam", "rows": listed(self._rows(sub, len(vars)))}
         if isinstance(phi, DepAtom):
@@ -767,7 +804,9 @@ class Evaluator:
         try:
             vars, mask = team.vars, self._mask(team.rows)
             holds, subs = self._at(phi, vars), _subteams(_bits(mask, self._row_of[len(vars)]), 0, high)
-            for sub in _at_most(subs, "a witness search", "subteams"):
+            for k, sub in enumerate(subs):
+                if k >> SPLIT_ROWS_LIMIT:
+                    raise _past_limit("a witness search", "subteams")
                 if holds(sub):
                     return Team(vars, frozenset(self._rows(sub, len(vars))))
             return None

@@ -7,7 +7,6 @@ no variables are distinct objects, and both are routinely meaningful.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import operator
@@ -414,16 +413,18 @@ def compile_fo(model: Model, phi: Formula, vars: tuple[str, ...]) -> Callable[..
     return run
 
 
-# Bounded, since it keeps its formulas alive; callers run one formula on
-# several models in a row, so the latest few are the ones asked for again.
-@functools.lru_cache(maxsize=128)
 def _prepared(phi: Formula) -> tuple[frozenset[str], tuple[str, ...], tuple, Formula]:
-    """What the engine needs of `phi` that no model changes."""
-    if not is_first_order(phi):
-        raise EvalError(f"not a first-order formula: {phi}")
-    arities = sorted({(n.name, len(n.args)) for n in subformulas(phi) if isinstance(n, RelLit)})
-    constants = tuple(sorted(constant_names(phi)))
-    return free_variables(phi), constants, tuple(arities), simplify(_one_point(phi))
+    """What the engine needs of `phi` that no model changes, kept on the
+    node, so that no cache hashes or compares a deeply nested formula."""
+    out = getattr(phi, "_prepared", None)
+    if out is None:
+        if not is_first_order(phi):
+            raise EvalError(f"not a first-order formula: {phi}")
+        arities = sorted({(n.name, len(n.args)) for n in subformulas(phi) if isinstance(n, RelLit)})
+        constants = tuple(sorted(constant_names(phi)))
+        out = free_variables(phi), constants, tuple(arities), simplify(_one_point(phi))
+        object.__setattr__(phi, "_prepared", out)
+    return out
 
 
 def _one_point(phi: Formula) -> Formula:

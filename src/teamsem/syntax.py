@@ -55,9 +55,10 @@ Term = Var | Const
 
 @dataclass(frozen=True)
 class Formula:
-    # the free variables and first-order-ness, kept on first ask and
-    # outside the fields, so out of `==`, `hash` and `repr`
-    __slots__ = ("_free", "_first_order")
+    # the free variables, first-order-ness, flattening and the first-order
+    # engine's prepared form, kept on first ask and outside the fields, so
+    # out of `==`, `hash` and `repr`
+    __slots__ = ("_free", "_first_order", "_flat", "_prepared")
 
     def __str__(self) -> str:
         return pretty(self)
@@ -417,16 +418,21 @@ def negate_fo(phi: Formula) -> Formula:
 
 def flatten(phi: Formula) -> Formula:
     """The first-order flattening: dependency atoms and possibility nodes
-    become T; restriction nodes flatten through their expansion."""
+    become T; restriction nodes flatten through their expansion.  Kept on
+    the node, so flattening it again returns the same formula."""
+    out = getattr(phi, "_flat", None)
+    if out is None:
+        out = map_formula(phi, _flat_node)
+        object.__setattr__(phi, "_flat", out)
+    return out
 
-    def flat(node: Formula) -> Formula:
-        if isinstance(node, (DepAtom, Possibly)):
-            return TRUE
-        if isinstance(node, RestrictedBy):
-            return restrict(node.body, node.guard)
-        return node
 
-    return map_formula(phi, flat)
+def _flat_node(node: Formula) -> Formula:
+    if isinstance(node, (DepAtom, Possibly)):
+        return TRUE
+    if isinstance(node, RestrictedBy):
+        return restrict(node.body, node.guard)
+    return node
 
 
 def restrict(phi: Formula, theta: Formula) -> Formula:

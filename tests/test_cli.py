@@ -11,7 +11,7 @@ import pytest
 import teamsem
 from teamsem import Model, Relation, Team, parse
 from teamsem.cli import _ast_dict, main
-from teamsem.harness import SWEEPS
+from teamsem.harness import DEFAULT_COST_BUDGET, SWEEPS, eval_cost_estimate
 from teamsem.model import cover_parts
 
 MICRO_GRID = "doms=2;max_rows=2"
@@ -353,6 +353,23 @@ def test_translate_json_and_verify(capsys):
         "atoms_used", "clean_formula", "prefix_vars",
         "relation", "sentence", "tuple", "verified_atoms",
     ]
+
+
+def test_translate_verify_outside_fast_mode_is_gated_by_the_cost_budget(capsys):
+    text, grid = "E y. E z. (nondep(x; y) /\\ nondep(x; z))", "doms=2,3;max_rows=4"
+    worst = max(eval_cost_estimate(parse(text), d, 4, "oracle") for d in (2, 3))
+    assert worst > DEFAULT_COST_BUDGET
+    assert main(["translate", text, "--verify", "--mode", "oracle", "--grid", grid]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"an estimated {worst:.3g} steps" in captured.err
+
+
+def test_translate_verify_outside_fast_mode_checks_a_formula_in_budget(capsys):
+    for mode in ("oracle", "naive"):
+        argv = ["translate", "poss(P(x))", "--vars", "x", "--verify", "--mode", mode, "--grid", MICRO_GRID]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "relation: R"
 
 
 def test_translate_rejects_downward_atoms(capsys):

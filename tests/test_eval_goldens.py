@@ -56,6 +56,8 @@ FORMULAS = (
     "E z. (z = x /\\ incl(z; y))",
     "NE /\\ (P(x) \\/ !P(x)) /\\ (x = c0 \\/ x != c0)",
     "E z. (z = c0 /\\ inconst(z) /\\ incl(z; y))",
+    # binds a variable that sorts before the team's columns
+    "E a. (a = x /\\ incl(a; y))",
 )
 
 
