@@ -221,14 +221,7 @@ def cmd_translate(args: argparse.Namespace) -> int:
     result = translate(phi, tuple_vars, registry, simplify_output=args.simplify)
     if args.verify:
         grid = _grid(args)
-        if args.mode != "fast":
-            # the sweep's budget gate would leave these domains undecided
-            worst = max(eval_cost_estimate(phi, d, grid.max_rows, args.mode) for d in grid.doms)
-            if worst > DEFAULT_COST_BUDGET:
-                raise HarnessError(
-                    f"verifying in {args.mode} mode would cost an estimated {worst:.3g} steps, over the "
-                    f"budget of {DEFAULT_COST_BUDGET:.3g}; verify in fast mode or on a smaller grid"
-                )
+        _within_budget([phi], grid, args.mode, "verifying", "verify")
         report = check_translation_equivalence(
             phi,
             tuple_vars,
@@ -260,6 +253,21 @@ def cmd_translate(args: argparse.Namespace) -> int:
     print(f"tuple: {', '.join(payload['tuple']) or '(empty)'}")
     print(f"atoms used: {', '.join(payload['atoms_used']) or '(none)'}")
     return 0
+
+
+def _within_budget(formulas: list[Formula], grid: GridConfig, mode: str, doing: str, do: str) -> None:
+    """Refuse, as a usage error, a sweep outside fast mode that some grid
+    domain would take over `DEFAULT_COST_BUDGET` steps to evaluate: the
+    sweep's own budget gate would leave those points undecided, and with
+    no budget it could run for hours."""
+    if mode == "fast":
+        return
+    worst = max(eval_cost_estimate(phi, d, grid.max_rows, mode) for phi in formulas for d in grid.doms)
+    if worst > DEFAULT_COST_BUDGET:
+        raise HarnessError(
+            f"{doing} in {mode} mode would cost an estimated {worst:.3g} steps, over the "
+            f"budget of {DEFAULT_COST_BUDGET:.3g}; {do} in fast mode or on a smaller grid"
+        )
 
 
 def _resolve_for_check(args: argparse.Namespace, registry: AtomRegistry):
@@ -327,10 +335,12 @@ def cmd_check_equiv(args: argparse.Namespace) -> int:
     registry = _registry_from_files(args.atoms)
     phi = _parse_formula(args.left, registry)
     psi = _parse_formula(args.right, registry)
+    grid = _grid(args)
+    _within_budget([phi, psi], grid, args.mode, "checking", "check")
     report = check_formula_equivalence(
         phi,
         psi,
-        grid=_grid(args),
+        grid=grid,
         registry=registry,
         mode=args.mode,
         jobs=args.jobs,

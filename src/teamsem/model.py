@@ -28,12 +28,14 @@ from .syntax import (
     Var,
     all_variable_names,
     ands,
-    constant_names,
+    exists_chain,
+    forall_chain,
     free_variables,
     is_first_order,
     map_formula,
     ors,
     simplify,
+    simplify_node,
     subformulas,
     substitute_vars,
 )
@@ -307,8 +309,9 @@ def enumerate_choice_functions(
 
 
 # ---------------------------------------------------------------------------
-# The first-order engine: each formula is checked and rewritten once, then
-# compiled per model into closures over a slot environment.
+# The first-order engine: each formula is checked and rewritten once,
+# compiled once per domain into closures over a slot environment, and run
+# per model with that model's relations and constants.
 
 
 def tarski_eval(model: Model, assignment: Mapping[str, str], phi: Formula) -> bool:
@@ -324,13 +327,21 @@ def compile_fo(model: Model, phi: Formula, vars: tuple[str, ...]) -> Callable[..
     named relations per call (such as a translated sentence's team
     relation) with tuples over the domain.
 
-    One-point bindings are substituted away and `simplify` runs; a block of
-    like quantifiers guarded by a relation loops over the relation's tuples,
-    not over dom^k, as in the guarded fragment.  Non-first-order input,
-    unbound variables, unknown constants and arity clashes with the model
-    raise `EvalError` here, before any rewrite can hide them; a relation
-    neither in the model nor supplied raises when a run reaches it."""
-    free, constants, arities, rewritten = _prepared(phi)
+    One-point bindings are substituted away and `simplify` runs, in one
+    pass.  The closures are compiled per domain and kept on the formula;
+    each run binds the model's relations and constants.  A block of like
+    quantifiers loops over a guard's tuples, not over dom^k, as in the
+    guarded fragment.  A bound-argument guard is a relation literal of the
+    block's spine (positive under E, negative under A) whose arguments are
+    the block's variables or bound outside it: the block loops over the
+    tuples that match the outside values.  A semi-join guard is a spine
+    part `E ys. R(args)` (under A, `A ys. !R(args)`): the block loops over
+    the distinct values of those tuples at its own variables.
+    Non-first-order input, unbound variables, unknown constants and arity
+    clashes with the model raise `EvalError` here, before any rewrite can
+    hide them; a relation neither in the model nor supplied raises when a
+    run reaches it."""
+    free, constants, arities, rewritten, compiled = _prepared(phi)
     unbound = sorted(free - set(vars))
     if unbound:
         raise EvalError(f"unbound variable {unbound[0]}")
@@ -341,11 +352,34 @@ def compile_fo(model: Model, phi: Formula, vars: tuple[str, ...]) -> Callable[..
         rel = model.relations.get(name)
         if rel is not None and rel.arity != arity:
             raise EvalError(f"relation {name} has arity {rel.arity}, got {arity} arguments")
-    domain = model.domain
+    key = (vars, model.domain)
+    got = compiled.get(key)
+    if got is None:
+        got = compiled[key] = _closures(rewritten, vars, constants, model.domain)
+    fn, width = got
+    first = len(vars) + len(constants)
+    tail = [model.constants[c] for c in constants] + [None] * (width - first)
+    static = {name: rel.tuples for name, rel in model.relations.items()}
+
+    def run(env, rels: Mapping[str, frozenset[Row]] = {}) -> bool:
+        try:
+            return fn([*env, *tail] if tail else env, {**static, **rels} if rels else static)
+        except KeyError as e:  # only relation lookups index by name
+            raise EvalError(f"unknown relation {e.args[0]}") from None
+
+    return run
+
+
+def _closures(
+    phi: Formula, vars: tuple[str, ...], constants: tuple[str, ...], domain: tuple[str, ...]
+) -> tuple[Callable[..., bool], int]:
+    """Rewritten `phi` as one function of (env, rels) over the domain, and
+    the width of the env it needs; the closures hold no model's relations
+    or constants."""
     # slots: the variables', then one per constant, then the quantifiers'
     top: dict[Term, int] = {Var(v): i for i, v in enumerate(vars)}
     top.update({Const(c): len(vars) + i for i, c in enumerate(constants)})
-    width = first = len(vars) + len(constants)
+    first = width = len(vars) + len(constants)
 
     def comp(node: Formula, depth: int, slots: dict[Term, int]) -> Callable[..., bool]:
         nonlocal width
@@ -370,26 +404,26 @@ def compile_fo(model: Model, phi: Formula, vars: tuple[str, ...]) -> Callable[..
                 return lambda env, rels: fa(env, rels) or fb(env, rels)
             return lambda env, rels: fa(env, rels) and fb(env, rels)
         # a block of like quantifiers: loop over a guard's tuples, or dom^k
-        exists, chain, body = isinstance(node, Exists), [], node
-        while isinstance(body, type(node)) and body.var not in chain:
-            chain.append(body.var)
-            body = body.body
+        exists, (chain, body) = isinstance(node, Exists), _block(node)
         parts = _spine(body, And if exists else Or)
         g = _guard(parts, chain, exists)
         if g is None:
-            bound, tuples = chain, lambda rels: itertools.product(domain, repeat=len(chain))
+            bound, tuples = chain, lambda env, rels: itertools.product(domain, repeat=len(chain))
         else:
-            guard, bound = parts[g].name, [t.name for t in parts[g].args]
+            g, lit, inner = g
             body = (ands if exists else ors)(parts[:g] + parts[g + 1 :])
-            for v in reversed([v for v in chain if v not in bound]):
-                body = type(node)(v, body)
-            tuples = lambda rels: rels[guard]
+            own = [isinstance(t, Var) and (t.name in chain or t.name in inner) for t in lit.args]
+            picks = [k for k, t in enumerate(lit.args) if own[k] and t.name not in inner]
+            fixed = [(k, slots[t]) for k, t in enumerate(lit.args) if not own[k]]
+            tuples = _matches(lit.name, picks, fixed, bool(inner), len(lit.args))
+            bound = [lit.args[k].name for k in picks]
+            body = (exists_chain if exists else forall_chain)([v for v in chain if v not in bound], body)
         lo, hi = depth, depth + len(bound)
         width = max(width, hi)
         fb = comp(body, hi, {**slots, **{Var(v): lo + k for k, v in enumerate(bound)}})
 
         def block(env, rels):
-            for t in tuples(rels):
+            for t in tuples(env, rels):
                 env[lo:hi] = t
                 if fb(env, rels) == exists:
                     return exists
@@ -398,53 +432,88 @@ def compile_fo(model: Model, phi: Formula, vars: tuple[str, ...]) -> Callable[..
         return block
 
     try:
-        fn = comp(rewritten, first, top)
+        return comp(phi, first, top), width
     finally:
         del comp  # a self-referring closure would leave a cycle for the collector
-    tail = [model.constants[c] for c in constants] + [None] * (width - first)
-    static = {name: rel.tuples for name, rel in model.relations.items()}
-
-    def run(env, rels: Mapping[str, frozenset[Row]] = {}) -> bool:
-        try:
-            return fn([*env, *tail] if tail else env, {**static, **rels} if rels else static)
-        except KeyError as e:  # only relation lookups index by name
-            raise EvalError(f"unknown relation {e.args[0]}") from None
-
-    return run
 
 
-def _prepared(phi: Formula) -> tuple[frozenset[str], tuple[str, ...], tuple, Formula]:
+def _matches(
+    name: str, picks: list[int], fixed: list[tuple[int, int]], project: bool, arity: int
+) -> Callable[..., Iterable[Row]]:
+    """The values a guard over relation `name` binds, per (env, rels): the
+    tuples whose `fixed` positions hold the env's values at the paired
+    slots, taken at positions `picks`, without repeats when `project`
+    drops positions."""
+    if not fixed and not project and len(picks) == arity:
+        return lambda env, rels: rels[name]
+    pick = operator.itemgetter(*picks) if len(picks) > 1 else operator.itemgetter(slice(picks[0], picks[0] + 1))
+    if not fixed:
+        return lambda env, rels: {pick(t) for t in rels[name]}
+    at, want = (operator.itemgetter(*side) for side in zip(*fixed))
+
+    def matches(env, rels):
+        w = want(env)
+        return {pick(t) for t in rels[name] if at(t) == w} if project else [pick(t) for t in rels[name] if at(t) == w]
+
+    return matches
+
+
+def _prepared(phi: Formula) -> tuple[frozenset[str], tuple[str, ...], tuple, Formula, dict]:
     """What the engine needs of `phi` that no model changes, kept on the
-    node, so that no cache hashes or compares a deeply nested formula."""
+    node, so that no cache hashes or compares a deeply nested formula: its
+    free variables, constants, relation arities, rewritten form, and its
+    closures per (vars, domain), filled by `compile_fo`."""
     out = getattr(phi, "_prepared", None)
     if out is None:
         if not is_first_order(phi):
             raise EvalError(f"not a first-order formula: {phi}")
-        arities = sorted({(n.name, len(n.args)) for n in subformulas(phi) if isinstance(n, RelLit)})
-        constants = tuple(sorted(constant_names(phi)))
-        out = free_variables(phi), constants, tuple(arities), simplify(_one_point(phi))
+        arities, constants = set(), set()
+        for n in subformulas(phi):
+            if isinstance(n, (RelLit, EqLit)):
+                terms = n.args if isinstance(n, RelLit) else (n.left, n.right)
+                constants.update(t.name for t in terms if isinstance(t, Const))
+                if isinstance(n, RelLit):
+                    arities.add((n.name, len(n.args)))
+        out = free_variables(phi), tuple(sorted(constants)), tuple(sorted(arities)), _rewritten(phi), {}
         object.__setattr__(phi, "_prepared", out)
     return out
 
 
-def _one_point(phi: Formula) -> Formula:
-    """Replace, bottom-up, `A v. (... \\/ v != t \\/ ...)` and
-    `E v. (... /\\ v = t /\\ ...)` by the rest of the spine with t for v."""
-    fresh = FreshNames(all_variable_names(phi))
+def _rewritten(phi: Formula) -> Formula:
+    """`phi` simplified, with `A v. A ys. (... \\/ v != t \\/ ...)` and
+    `E v. E ys. (... /\\ v = t /\\ ...)` replaced by the block over ys of
+    the rest of the spine with t for v, in one bottom-up pass: each node is
+    simplified before the one-point rule sees it, and so before its parent
+    is rewritten."""
+    fresh = None
 
     def rule(node: Formula) -> Formula:
-        if isinstance(node, (Exists, Forall)):
+        nonlocal fresh
+        out = simplify_node(node)
+        if out is node and isinstance(node, (Exists, Forall)):
             exists, v = isinstance(node, Exists), Var(node.var)
-            parts = _spine(node.body, And if exists else Or)
+            chain, body = _block(node)
+            parts = _spine(body, And if exists else Or)
             for i, lit in enumerate(parts):
-                if isinstance(lit, EqLit) and lit.positive == exists and lit.left != lit.right:
-                    if v in (lit.left, lit.right):
-                        t = lit.right if lit.left == v else lit.left
-                        rest = (ands if exists else ors)(parts[:i] + parts[i + 1 :])
-                        return substitute_vars(rest, {node.var: t}, fresh)
-        return node
+                if isinstance(lit, EqLit) and lit.positive == exists and v in (lit.left, lit.right):
+                    t = lit.right if lit.left == v else lit.left
+                    rest = (ands if exists else ors)(parts[:i] + parts[i + 1 :])
+                    fresh = fresh or FreshNames(all_variable_names(phi))
+                    under = exists_chain if exists else forall_chain
+                    return simplify(under(chain[1:], substitute_vars(rest, {node.var: t}, fresh)))
+        return out
 
     return map_formula(phi, rule)
+
+
+def _block(node: Exists | Forall) -> tuple[list[str], Formula]:
+    """The variables of the block of like quantifiers at `node`, up to the
+    first one repeated, and the body below them."""
+    chain, body = [], node
+    while isinstance(body, type(node)) and body.var not in chain:
+        chain.append(body.var)
+        body = body.body
+    return chain, body
 
 
 def _spine(phi: Formula, kind: type) -> list[Formula]:
@@ -452,13 +521,20 @@ def _spine(phi: Formula, kind: type) -> list[Formula]:
     return _spine(phi.left, kind) + _spine(phi.right, kind) if isinstance(phi, kind) else [phi]
 
 
-def _guard(parts: list[Formula], chain: list[str], exists: bool) -> int | None:
-    """The index in `parts` of the first relation literal (positive under E,
-    negative under A) over the most distinct variables, all bound by `chain`."""
-    found = [
-        i
-        for i, p in enumerate(parts)
-        if isinstance(p, RelLit) and p.positive == exists and p.args
-        and len({t.name for t in p.args if t.name in chain and isinstance(t, Var)}) == len(p.args)
-    ]
-    return max(found, key=lambda i: len(parts[i].args), default=None)
+def _guard(parts: list[Formula], chain: list[str], exists: bool) -> tuple[int, RelLit, list[str]] | None:
+    """The guard of a block of like quantifiers over `chain` whose spine
+    has `parts`: the index of the first part that binds the most chain
+    variables, its literal, and the variables bound inside the part.  A
+    part is a relation literal (positive under E, negative under A) under
+    a block `ys` of the same quantifier, every one of which occurs in the
+    literal; no variable of the chain or of `ys` occurs twice in it, and
+    its other arguments are bound outside the block."""
+    best, most = None, 0
+    for i, part in enumerate(parts):
+        inner, lit = _block(part) if isinstance(part, Exists if exists else Forall) else ([], part)
+        if not isinstance(lit, RelLit) or lit.positive != exists:
+            continue
+        names = [t.name for t in lit.args if isinstance(t, Var) and (t.name in chain or t.name in inner)]
+        if len(set(names)) == len(names) and set(inner) <= set(names) and len(names) - len(inner) > most:
+            best, most = (i, lit, inner), len(names) - len(inner)
+    return best

@@ -475,10 +475,11 @@ def simplify(phi: Formula) -> Formula:
     optional output pass and the first-order engine's rewrite): boolean
     units, trivial equalities between identical terms, and quantifiers
     over dead or constant bodies.  Sound on models with nonempty domains."""
-    return map_formula(phi, _simplify_node)
+    return map_formula(phi, simplify_node)
 
 
-def _simplify_node(phi: Formula) -> Formula:
+def simplify_node(phi: Formula) -> Formula:
+    """`simplify`'s rule at one node whose parts are already simplified."""
     if isinstance(phi, EqLit) and phi.left == phi.right:
         return TRUE if phi.positive else FALSE
     if isinstance(phi, Or):

@@ -436,6 +436,23 @@ def test_check_equiv_fail(capsys):
     assert summary["mismatch_count"] == 1
 
 
+def test_check_equiv_outside_fast_mode_is_gated_by_the_cost_budget(capsys):
+    left, right, grid = "E y. E z. (nondep(x; y) /\\ nondep(x; z))", "E y. nondep(x; y)", "doms=2,3;max_rows=4"
+    for mode in ("oracle", "naive"):
+        worst = max(eval_cost_estimate(parse(t), d, 4, mode) for t in (left, right) for d in (2, 3))
+        assert worst > DEFAULT_COST_BUDGET
+        assert main(["check", "equiv", left, right, "--mode", mode, "--grid", grid]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"checking in {mode} mode would cost an estimated {worst:.3g} steps" in captured.err
+
+
+def test_check_equiv_outside_fast_mode_checks_formulas_in_budget(capsys):
+    for mode in ("oracle", "naive"):
+        assert main(["check", "equiv", "NE", "NE /\\ T", "--mode", mode, "--grid", MICRO_GRID]) == 0
+        assert json.loads(capsys.readouterr().out.splitlines()[0])["ok"] is True
+
+
 def test_check_equiv_reads_grid_from_env(capsys, monkeypatch):
     monkeypatch.setenv("TEAMSEM_GRID", MICRO_GRID)
     assert main(["check", "equiv", "NE", "NE"]) == 0

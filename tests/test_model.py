@@ -20,6 +20,7 @@ from teamsem.model import (
     EvalError,
     ModelError,
     SINGLETON_EMPTY_TEAM,
+    _prepared,
     compile_fo,
     duplicate,
     enumerate_choice_functions,
@@ -35,6 +36,7 @@ from teamsem.syntax import (
     TRUE,
     And,
     Const,
+    DepAtom,
     EqLit,
     Exists,
     Forall,
@@ -42,6 +44,7 @@ from teamsem.syntax import (
     RelLit,
     Var,
     free_variables,
+    subformulas,
 )
 from teamsem.translator import translate
 
@@ -235,6 +238,33 @@ def test_both_entry_points_raise_an_unknown_relation_when_run(m2):
         run(["b"])
 
 
+def test_an_unknown_relation_raises_at_the_guard_that_loops_over_it(m2):
+    # neither guard's relation exists: each run raises when its block
+    # starts, before the rest of the spine could answer
+    for text in ("E y. (Q(x, y) /\\ P(y))", "E y. ((E z. Q(z, y)) /\\ P(y))", "A y. (!Q(y, x) \\/ F)"):
+        run = compile_fo(m2, parse(text), ("x",))
+        with pytest.raises(EvalError, match="^unknown relation Q$"):
+            run(["a"])
+        pairs = frozenset({("a", "a"), ("b", "a")})
+        assert run(["a"], {"Q": pairs}) == reference_eval(m2, {"x": "a"}, parse(text), {"Q": pairs})
+
+
+def test_one_compiled_formula_serves_every_model_over_its_domain():
+    # the closures are kept per domain: each run must read its own model's
+    # relations and constants, never those of the model compiled first
+    phi = parse("E y. (R(c0, y) /\\ P(y) /\\ y != x) /\\ (A y. (A z. !R(z, y)) \\/ y != c0 \\/ !P(y))", constants=("c0",))
+    r = Relation(2, frozenset({("a", "b"), ("b", "c"), ("c", "a")}))
+    left = Model(("a", "b", "c"), {"P": Relation(1, frozenset({("b",)})), "R": r}, {"c0": "a"})
+    right = Model(("a", "b", "c"), {"P": Relation(1, frozenset({("a",), ("c",)})), "R": r}, {"c0": "b"})
+    runs = [(model, compile_fo(model, phi, ("x",))) for model in (left, right, left)]
+    assert len(_prepared(phi)[4]) == 1  # one domain, one set of closures
+    answers = []
+    for model, run in runs:
+        answers.append([run([x]) for x in model.domain])
+        assert answers[-1] == [reference_eval(model, {"x": x}, phi) for x in model.domain]
+    assert answers == [[True, False, True], [True, True, False], [True, False, True]]
+
+
 _fo_texts = st.sampled_from(
     [
         "P(x)",
@@ -266,13 +296,14 @@ def test_compile_fo_keeps_constant_and_quantifier_slots_apart(m3):
 
 # The engine against the reference on random formulas over a 3-element
 # model: binder names x, y, z are reused (so capture matters), and the
-# one-point and relation-guard shapes the engine rewrites are drawn on
-# purpose, over the static relation R and the supplied relation S.
+# one-point and guard shapes the engine rewrites are drawn on purpose, over
+# the static relations R and Q and the supplied relation S.
 M3 = Model(
     ("a", "b", "c"),
     {
         "P": Relation(1, frozenset({("a",), ("c",)})),
         "R": Relation(2, frozenset({("a", "b"), ("b", "c"), ("c", "a"), ("b", "b")})),
+        "Q": Relation(3, frozenset({("a", "a", "b"), ("b", "a", "c"), ("c", "b", "b"), ("a", "c", "c")})),
     },
     {"c0": "a"},
 )
@@ -296,6 +327,8 @@ def _compound(inner):
         st.builds(Forall, _var, inner),
         st.builds(lambda v, t, b: Forall(v, Or(b, EqLit(False, Var(v), t))), _var, _terms, inner),
         st.builds(lambda v, t, b: Exists(v, And(EqLit(True, t, Var(v)), b)), _var, _terms, inner),
+        st.builds(lambda v, w, t, b: Exists(v, Exists(w, And(b, EqLit(True, Var(v), t)))), _var, _var, _terms, inner),
+        st.builds(lambda v, w, t, b: Forall(v, Forall(w, Or(EqLit(False, t, Var(v)), b))), _var, _var, _terms, inner),
         st.builds(
             lambda n, v, w, b: Forall(v, Forall(w, Or(RelLit(n, False, (Var(v), Var(w))), b))),
             _binary, _var, _var, inner,
@@ -303,6 +336,23 @@ def _compound(inner):
         st.builds(
             lambda n, v, w, b: Exists(v, Exists(w, And(b, RelLit(n, True, (Var(w), Var(v)))))),
             _binary, _var, _var, inner,
+        ),
+        # bound-argument guards: the other argument is an outer variable,
+        # c0, or the bound variable itself (a repeated variable guards nothing)
+        st.builds(lambda n, v, t, b: Exists(v, And(RelLit(n, True, (t, Var(v))), b)), _binary, _var, _terms, inner),
+        st.builds(lambda n, v, t, b: Forall(v, Or(b, RelLit(n, False, (Var(v), t)))), _binary, _var, _terms, inner),
+        # semi-join guards: E w. S(w, v) under E, A w. !S(v, w) under A
+        st.builds(
+            lambda n, v, w, b: Exists(v, And(b, Exists(w, RelLit(n, True, (Var(w), Var(v)))))),
+            _binary, _var, _var, inner,
+        ),
+        st.builds(
+            lambda n, v, w, b: Forall(v, Or(Forall(w, RelLit(n, False, (Var(v), Var(w)))), b)),
+            _binary, _var, _var, inner,
+        ),
+        st.builds(
+            lambda v, w, t, b: Exists(v, Exists(w, And(Exists(w, RelLit("Q", True, (Var(v), t, Var(w)))), b))),
+            _var, _var, _terms, inner,
         ),
     )
 
@@ -334,11 +384,30 @@ def test_engine_matches_the_reference_on_random_formulas(phi, s):
         "A x. A x. (!S(x, x) \\/ P(x))",  # a repeated binder ends the block
         "A z. (!R(x, z) \\/ z != y \\/ P(z))",
         "A x. A y. (!S(x, y) \\/ F)",  # an empty guarded block
+        "E x. E y. (x = y /\\ R(x, y))",  # one point: E x. E y. x = y is E y
+        "E y. E x. (y = x /\\ (E x. R(y, x)))",  # ... and substituting x renames the inner x
+        "A y. A z. (y != z \\/ !R(z, y) \\/ P(y))",
+        "A y. A y. (y != x \\/ P(y))",  # the inner y is another variable
+        "E y. (R(x, y) /\\ !P(y))",  # a bound argument: an outer variable
+        "A y. (!R(y, c0) \\/ P(y))",  # a bound argument: a constant
+        "A z. (!Q(x, z, x) \\/ z = y)",  # a bound argument twice
+        "E y. (R(y, y) /\\ P(y))",  # a repeated variable guards nothing
+        "E y. E z. (S(z, z) /\\ R(y, z))",  # ... but another literal may
+        "E y. ((E z. S(z, y)) /\\ P(y))",  # a semi-join under E
+        "A y. ((A z. !S(y, z)) \\/ !P(y))",  # a semi-join under A
+        "E y. E z. ((E x. R(x, y)) /\\ (E x. R(x, z)) /\\ y != z)",  # inconst's shape
+        "E y. ((E y. R(y, x)) /\\ P(y))",  # the part rebinds y: no guard
+        "E y. ((E z. R(z, z)) /\\ P(y))",  # binds no chain variable
+        "E y. E z. ((E x. Q(x, y, c0)) /\\ S(y, z))",  # the literal binds more
+        "E y. E z. ((E x. Q(x, z, y)) /\\ S(z, x))",  # semi-join binds two, S fixes x
+        "A y. A z. ((A w. A w. !Q(w, y, z)) \\/ P(y))",  # a repeated inner binder
+        "E y. ((E z. Q(z, x, y)) /\\ !P(y))",  # a semi-join with an outer variable
+        "A y. ((A z. !Q(y, c0, z)) \\/ !P(y) \\/ y = c0)",  # a semi-join with a constant
     ],
 )
 def test_engine_capture_and_guard_cases(text):
     s = frozenset({("a", "b"), ("c", "c")})
-    assert_engine_matches_reference(M3, parse(text), {"S": s})
+    assert_engine_matches_reference(M3, parse(text, constants=("c0",)), {"S": s})
 
 
 def test_engine_matches_the_reference_on_the_translation_corpus():
@@ -356,6 +425,44 @@ def test_engine_matches_the_reference_on_the_translation_corpus():
                 assert run([], rels) == reference_eval(model, {}, result.sentence, rels), (
                     str(phi), model.relations, team.rows,
                 )
+
+
+def test_engine_matches_the_reference_where_the_translation_corpus_guards():
+    # the criterion-01 sentences with the atoms that translate to "k
+    # distinct tuples of the team relation", where semi-join and
+    # bound-argument guards fire, at the benchmark's scale: 3-element
+    # models, teams of up to two rows.  The reference reads the rewritten
+    # sentence (the raw one costs it seconds each); the test above checks
+    # the engine, rewrite included, against the raw sentences.
+    corpus = generate_formulas(DEFAULT_TRANSLATION_ATOMS, {"P": 1}, 3, ("x", "y"))
+    guarded = [
+        phi for phi in corpus
+        if any(isinstance(n, DepAtom) and n.name in ("inconst", "big", "nondep", "nonexcl") for n in subformulas(phi))
+    ]
+    assert len(guarded) == 154
+    for phi in guarded:
+        xs = tuple(sorted(free_variables(phi))) or ("x",)
+        result = translate(phi, xs)
+        rewritten = _prepared(result.sentence)[3]
+        for model in enumerate_models({"P": 1}, 3):
+            run = compile_fo(model, result.sentence, ())
+            for team in enumerate_teams(model, xs, 2):
+                rels = {result.relation: team_project(team, xs)}
+                assert run([], rels) == reference_eval(model, {}, rewritten, rels), (
+                    str(phi), model.relations, team.rows,
+                )
+
+
+def test_the_rewrite_simplifies_before_the_one_point_rule_sees_a_parent():
+    # the translation of big(2; y) under a dead E x leaves, per witness,
+    # E y. E _v0. _dg00 = y /\ (R(y) /\ T): the dead _v0 hides the equality
+    # unless it goes first
+    result = translate(parse("E x. big(2; y)"), ("y",))
+    assert str(_prepared(result.sentence)[3]) == "E _dg00. E _dg10. R(_dg00) /\\ R(_dg10) /\\ _dg00 != _dg10"
+    # the rule sees an equality through the block: the projection of total(x)
+    result = translate(parse("total(x)"), ("x", "y"))
+    assert str(result.sentence) == "A _da0. E x. E y. _da0 = x /\\ R(x, y)"
+    assert str(_prepared(result.sentence)[3]) == "A _da0. E y. R(_da0, y)"
 
 
 # --- serialization -----------------------------------------------------------
