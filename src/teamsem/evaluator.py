@@ -26,10 +26,14 @@ unsound for them (an existential over a constancy atom is the canonical
 counterexample), even though constancy is harmless in other pipelines.
 
 Inside an `Evaluator` a team is `(vars, mask)`: each row gets the next
-free bit among the rows of its width when the evaluator first meets it, so
-a mask is as wide as the rows of its width seen so far, not |dom|^|vars|;
-searches walk the set bits in sorted-row order, while restriction and
-duplication images are unions taken in bit order.  No `Team` is built past
+free bit among the rows of its width when an evaluator over its domain
+first meets it, so a mask is as wide as the rows of its width seen so far,
+not |dom|^|vars|; searches walk the set bits in sorted-row order, while
+restriction and duplication images are unions taken in bit order.  The
+numbering and the images depend on the domain alone, so every evaluator
+over one domain shares them, in any mode and for any model, and a sweep
+that builds an evaluator per model renumbers nothing; verdicts, witnesses
+and counters do not depend on which bit a row has.  No `Team` is built past
 `evaluate`, `witness` and `first_subteam`: a dependency atom runs its
 direct evaluator on the rows of its projected mask, once per projection,
 naive mode's choice functions are unions of row images, and every search
@@ -50,9 +54,9 @@ assignments in the order they would have with that column last, and a
 witness lists it last; `oracle` and `naive` append it.  A restriction
 onto all of a team's columns, in their order, is the mask itself and
 builds no table.  Other restriction and duplication images are cached
-per whole mask, and a first-order node keeps a mask of the rows whose truth
-is known and one of those where it holds, so the engine runs once per
-row.  An existential off the flattening-guided rewrite tries the teams
+per whole mask, in tables shared like the numbering, and a first-order
+node keeps a mask of the rows whose truth is known and one of those where
+it holds, so the engine runs once per row.  An existential off the flattening-guided rewrite tries the teams
 X[F/var] as the product, over X's assignments, of the nonempty unions of
 each one's duplicated rows.  Fast mode runs that search only on the
 duplicated rows where the body's flattening holds, and splits the body's
@@ -270,6 +274,87 @@ class EvalStats:
             setattr(self, field.name, 0)
 
 
+class _Layout:
+    """The rows met over one domain, numbered per width, and the team images
+    over them: shared by every `Evaluator` over the domain, in any mode and
+    for any model, since neither depends on the model's relations.  `bit`
+    gives a new row the next free bit among the rows of its width.  No
+    function kept here refers to an evaluator or to the layout, so an image
+    built for one evaluator serves the next, and a dead evaluator is freed."""
+
+    __slots__ = ("bit_of", "row_of", "bit", "images", "entries")
+
+    def __init__(self, domain: tuple[str, ...], entries: list[int]):
+        elements, bit_of, row_of = set(domain), {}, defaultdict(dict)
+
+        def bit(row: Row) -> int:
+            got = bit_of.get(row)
+            if got is None:
+                if not elements.issuperset(row):
+                    raise EvalError(f"team row {row} leaves the model domain")
+                of_width = row_of[len(row)]
+                got = bit_of[row] = 1 << len(of_width)
+                of_width[got] = row
+            return got
+
+        self.bit_of: dict[Row, int] = bit_of
+        self.row_of: defaultdict[int, dict[int, Row]] = row_of
+        self.bit = bit
+        self.images: dict[tuple, Callable[[int], int]] = {}
+        self.entries = entries  # image table entries over all layouts of one registry
+
+    def image(self, key: tuple, width: int, image: Callable[[Row], int]) -> Callable[[int], int]:
+        """The map from a mask over rows of `width` to the union of
+        `image(row)` over its rows, kept once per `key`; its table holds
+        whole masks, and a row's image under the row's own bit, until the
+        tables of the registry hold `MEMO_LIMIT` entries.  A union does not
+        depend on order, so the rows are taken in bit order, unsorted."""
+        got = self.images.get(key)
+        if got is not None:
+            return got
+        row_of, entries, table = self.row_of[width], self.entries, {}
+
+        def apply(mask: int) -> int:
+            out = table.get(mask)
+            if out is None:
+                out, rest = 0, mask
+                while rest:
+                    b = rest & -rest
+                    rest ^= b
+                    one = table.get(b)
+                    if one is None:
+                        one = image(row_of[b])
+                        if entries[0] < MEMO_LIMIT:
+                            table[b] = one
+                            entries[0] += 1
+                    out |= one
+                if mask & (mask - 1) and entries[0] < MEMO_LIMIT:
+                    table[mask] = out
+                    entries[0] += 1
+            return out
+
+        self.images[key] = apply
+        return apply
+
+
+# the layouts by exact domain, and their image table entries together
+_layouts: dict[tuple[str, ...], _Layout] = {}
+_image_entries = [0]
+
+
+def _layout(domain: tuple[str, ...]) -> _Layout:
+    """The shared layout of `domain`.  Once the layouts together hold
+    `MEMO_LIMIT` image entries, a fresh registry starts here; an evaluator
+    keeps the layout it holds, whose tables stop growing."""
+    global _layouts, _image_entries
+    if _image_entries[0] >= MEMO_LIMIT:
+        _layouts, _image_entries = {}, [0]
+    got = _layouts.get(domain)
+    if got is None:
+        got = _layouts[domain] = _Layout(domain, _image_entries)
+    return got
+
+
 class Evaluator:
     """Evaluates formulas on teams over a fixed model.
 
@@ -277,9 +362,13 @@ class Evaluator:
     keyed by mask, so sweeping many teams against one formula reuses work.
     Node ids key a table only at or below a compiled node, which its entry
     keeps alive.  The memos of all nodes together stop growing at
-    `MEMO_LIMIT` entries, and so does each table of team images or of atom
-    verdicts.  The compiled functions count into `stats`, one object for
-    the evaluator's life, and reach the evaluator only through a weak proxy.
+    `MEMO_LIMIT` entries, and so does each table of atom verdicts.  Memos,
+    first-order rows and verdicts depend on the model's relations and stay
+    with the evaluator; the row numbering and the team images depend on the
+    domain alone and come from its `_Layout`, shared with every evaluator
+    over the same domain (see `_layout` for their bound).  The compiled
+    functions count into `stats`, one object for the evaluator's life, and
+    reach the evaluator only through a weak proxy.
     """
 
     def __init__(
@@ -298,12 +387,10 @@ class Evaluator:
         # per (node id, vars): the compiled node and a first-order node's rows
         self._compiled: dict[tuple, Callable[[int], bool]] = {}
         self._truths: dict[tuple, Callable[[int], int]] = {}
-        # row indexing: row -> bit, bit -> row per row width, and team
-        # images per operation, each with its table
-        self._domain = set(model.domain)
-        self._bit_of: dict[Row, int] = {}
-        self._row_of: defaultdict[int, dict[int, Row]] = defaultdict(dict)
-        self._images: dict[tuple, Callable[[int], int]] = {}
+        # the rows and team images of the domain, shared with every
+        # evaluator over it
+        self._layout = layout = _layout(model.domain)
+        self._row_of, self._bit = layout.row_of, layout.bit
         # what the compiled functions use of the evaluator: a strong
         # reference would make a cycle that only the collector frees
         self._me = weakref.proxy(self)
@@ -335,18 +422,6 @@ class Evaluator:
 
     # -- rows and masks ------------------------------------------------------
 
-    def _bit(self, row: Row) -> int:
-        """The bit of `row`, the next free one among rows of its width when
-        `row` is new."""
-        got = self._bit_of.get(row)
-        if got is None:
-            if not self._domain.issuperset(row):
-                raise EvalError(f"team row {row} leaves the model domain")
-            row_of = self._row_of[len(row)]
-            got = self._bit_of[row] = 1 << len(row_of)
-            row_of[got] = row
-        return got
-
     def _mask(self, rows) -> int:
         return sum(map(self._bit, rows))
 
@@ -354,45 +429,18 @@ class Evaluator:
         row_of = self._row_of[width]
         return [row_of[b] for b in _bits(mask, row_of)]
 
-    def _image(self, key: tuple, width: int, image: Callable[[Row], int]) -> Callable[[int], int]:
-        """The map from a mask over rows of `width` to the union of
-        `image(row)` over its rows, kept once per `key`; its table holds
-        whole masks, and a row's image under the row's own bit.  A union
-        does not depend on order, so the rows are taken in bit order,
-        unsorted."""
-        row_of, table = self._row_of[width], {}
-
-        def apply(mask: int) -> int:
-            out = table.get(mask)
-            if out is None:
-                out, rest = 0, mask
-                while rest:
-                    b = rest & -rest
-                    rest ^= b
-                    one = table.get(b)
-                    if one is None:
-                        one = image(row_of[b])
-                        if len(table) < MEMO_LIMIT:
-                            table[b] = one
-                    out |= one
-                if len(table) < MEMO_LIMIT:
-                    table[mask] = out
-            return out
-
-        return self._images.setdefault(key, apply)
-
     def _restrict(self, vars: tuple[str, ...], to: tuple[str, ...]) -> Callable[[int], int]:
         """X restricted to the columns `to`; onto all of `vars`, in their
         order, the mask itself, with no table."""
         if to == vars:
             return int  # an int's int() is itself
-        me, bit_of, idx = self._me, self._bit_of, [vars.index(v) for v in to]
+        bit_of, bit, idx = self._layout.bit_of, self._bit, [vars.index(v) for v in to]
 
         def image(row: Row) -> int:
             sub = tuple([row[i] for i in idx])
-            return bit_of.get(sub) or me._bit(sub)
+            return bit_of.get(sub) or bit(sub)
 
-        return self._image((vars, to), len(vars), image)
+        return self._layout.image((vars, to), len(vars), image)
 
     def _assign(
         self, vars: tuple[str, ...], var: str, values, last: bool = False
@@ -401,10 +449,10 @@ class Evaluator:
         value.  A new column goes where sorted order puts it in fast mode,
         so X[F/var] over sorted columns stays sorted, and last otherwise or
         when `last` is set."""
-        me, over = self._me, var in vars  # as an int, the columns it replaces
+        bit, over = self._bit, var in vars  # as an int, the columns it replaces
         i = vars.index(var) if over else bisect.bisect(vars, var) if self.mode == "fast" and not last else len(vars)
-        image = lambda row: sum({me._bit(row[:i] + (m,) + row[i + over :]) for m in values})  # noqa: E731
-        return vars[:i] + (var,) + vars[i + over :], self._image((vars, var, i, tuple(values)), len(vars), image)
+        image = lambda row: sum({bit(row[:i] + (m,) + row[i + over :]) for m in values})  # noqa: E731
+        return vars[:i] + (var,) + vars[i + over :], self._layout.image((vars, var, i, tuple(values)), len(vars), image)
 
     # -- first-order nodes -------------------------------------------------------
 

@@ -588,10 +588,15 @@ def test_naive_searches_count_their_candidates_against_the_limit(m2, monkeypatch
 
 
 @pytest.mark.parametrize("mode", MODES)
-def test_an_evaluator_is_freed_without_the_cycle_collector(mode, m2):
+def test_an_evaluator_is_freed_without_the_cycle_collector(mode, m2, monkeypatch):
     # the compiled functions must not refer back to their evaluator: a
-    # cycle would keep its memo and tables alive until a full collection
+    # cycle would keep its memo and tables alive until a full collection.
+    # The domain's shared images must not either, and must serve the next
+    # evaluator after the one that built them is gone.
+    monkeypatch.setattr(evaluator, "_layouts", {})
+    monkeypatch.setattr(evaluator, "_image_entries", [0])
     X = team("xy", ("a", "a"), ("b", "a"))
+    wider = team("xy", ("a", "a"), ("a", "b"), ("b", "a"), ("b", "b"))
     texts = [
         "T /\\ P(x)",
         "A z. (P(z) \\/ dep(x; z))",
@@ -611,11 +616,19 @@ def test_an_evaluator_is_freed_without_the_cycle_collector(mode, m2):
     try:
         for phi in phis:
             ev = Evaluator(m2, mode=mode)
-            ev.evaluate(phi, X)
-            ev.witness(phi, X)
-            ref = weakref.ref(ev)
+            answers = ev.evaluate(phi, X), ev.witness(phi, X)
+            ref, layout = weakref.ref(ev), ev._layout
             del ev
             assert ref() is None, str(phi)
+            built = len(layout.images), evaluator._image_entries[0]
+            again = Evaluator(m2, mode=mode)
+            assert again._layout is layout
+            assert (again.evaluate(phi, X), again.witness(phi, X)) == answers, str(phi)
+            assert (len(layout.images), evaluator._image_entries[0]) == built, str(phi)
+            # rows the dead evaluator never met go through its image functions
+            apart = Evaluator(Model(m2.domain[::-1], m2.relations, m2.constants), mode=mode)
+            assert again.evaluate(phi, wider) == apart.evaluate(phi, wider), str(phi)
+            del again, apart
     finally:
         gc.enable()
 

@@ -167,6 +167,86 @@ def test_criterion_05_expansions_match_the_reference(psi):
     assert_matches_reference(M3, psi, teams, "fast")
 
 
+P_MODELS = list(harness.enumerate_models({"P": 1}, 3))
+SWEEP_ITEMS = [item[:2] for item in CRITERION_05] + [
+    (parse(text),) * 2
+    for text in (
+        "dep(x; y) \\/ incl(y; x)",
+        "E z. (const(z) /\\ incl(z; x))",
+        "A z. (dep(x; z) \\/ P(z))",
+        "poss(const(y) /\\ dep(x; y))",
+    )
+]
+
+
+def test_evaluators_made_in_sweep_order_match_fresh_references():
+    # one evaluator per (item, model) in a sweep's order, the modes mixed:
+    # each meets rows and images that earlier evaluators over its domain
+    # numbered and built, and must count and answer as a fresh reference
+    # does.  As in the sweep's tiers, oracle mode takes the possibility and
+    # fast mode its expansion; naive mode takes one-row teams, and the
+    # expansion only of a quantifier-free body.
+    for i, (phi, psi) in enumerate(SWEEP_ITEMS):
+        for j, model in enumerate(P_MODELS):
+            mode = MODES[(i + j) % len(MODES)]
+            naive_psi = mode == "naive" and harness._quantifier_free(phi)
+            chi = psi if mode == "fast" or naive_psi else phi
+            teams = list(harness.enumerate_teams(model, ("x", "y"), 1 if mode == "naive" else 2))
+            new, ref = Evaluator(model, mode=mode), evaluator_reference.Evaluator(model, mode=mode)
+            for team in teams:
+                case = (pretty(chi), model.domain, sorted(model.relations["P"].tuples), mode, sorted(team.rows))
+                assert new.evaluate_with_stats(chi, team) == ref.evaluate_with_stats(chi, team), case
+                assert new.witness(chi, team) == ref.witness(chi, team), case
+
+
+def test_layouts_are_kept_apart_by_domain():
+    # a row numbered over a three-element domain is still outside M2's
+    m3 = Evaluator(M3)
+    assert m3.evaluate(parse("P(x)"), Team(("x",), frozenset({("a",), ("c",)})))
+    for mode in MODES:
+        with pytest.raises(EvalError, match="leaves the model domain"):
+            Evaluator(M2, mode=mode).evaluate(parse("NE"), Team(("x",), frozenset({("a",), ("c",)})))
+    # the same elements listed in another order: a layout of its own, and
+    # sorted-row order after sorted-domain evaluators have run on the rows
+    rows = [("c", "a"), ("a", "b"), ("b", "c")]
+    team = Team(("x", "y"), frozenset(rows))
+    for mode in MODES:
+        assert_matches_reference(M3, parse("E z. (const(z) /\\ nonexcl(x; z))"), [team], mode)
+        assert_matches_reference(UNSORTED, parse("E z. (const(z) /\\ nonexcl(x; z))"), [team], mode)
+        assert_matches_reference(UNSORTED, parse("P(x) \\/ dep(y; x)"), [team], mode)
+    assert Evaluator(UNSORTED)._row_of is not m3._row_of
+
+
+def _table_entries(layouts) -> int:
+    """The entries of every image table of `layouts`, read off the closures."""
+    total = 0
+    for layout in layouts.values():
+        for apply in layout.images.values():
+            cells = dict(zip(apply.__code__.co_freevars, apply.__closure__))
+            total += len(cells["table"].cell_contents)
+    return total
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_the_shared_image_tables_stay_within_the_memo_limit(mode, monkeypatch):
+    monkeypatch.setattr(evaluator, "MEMO_LIMIT", 40)
+    monkeypatch.setattr(evaluator_reference, "MEMO_LIMIT", 40)
+    monkeypatch.setattr(evaluator, "_layouts", {})
+    monkeypatch.setattr(evaluator, "_image_entries", [0])
+    texts = ("E z. (dep(x; z) /\\ P(z))", "A z. (incl(z; x) \\/ nondep(y; z))", "poss(NE /\\ incl(x; y))")
+    registries = []
+    for model in (M2, M3, M2, M3):
+        rows = sorted(itertools.product(model.domain, repeat=2))[:3]
+        teams = [Team(("x", "y"), frozenset(c)) for k in range(3) for c in itertools.combinations(rows, k)]
+        for text in texts:
+            assert_matches_reference(model, parse(text), teams, mode)
+            if not any(evaluator._layouts is seen for seen in registries):
+                registries.append(evaluator._layouts)
+            assert _table_entries(evaluator._layouts) == evaluator._image_entries[0] <= 40
+    # the tables filled, and later evaluators started fresh registries
+    assert len(registries) > 1
+
+
 @pytest.fixture(scope="module")
 def pairs():
     """A registry with `pair`, a custom atom of width 2: some row differs in its two columns."""
@@ -218,17 +298,24 @@ def test_a_full_atom_verdict_table_matches_the_reference(mode, monkeypatch, pair
         ("E a. (a != x /\\ nondep(y; a))", {"oracle": {2: 3, 6: 2, 7: 20}, "fast": {2: 50, 3: 20, 6: 2}}),
     ],
 )
-def test_masks_grow_with_rows_met_not_with_the_row_space(text, modes):
+def test_masks_grow_with_rows_met_not_with_the_row_space(text, modes, monkeypatch):
     # two rows of six columns, then a seventh: a bit per point of the row
-    # space would make every mask 10^7 bits wide; each mode maps to the
-    # rows it numbers per width
+    # space would make every mask 10^7 bits wide; each mode, on a fresh
+    # layout of the domain, maps to the rows it numbers per width
     team = Team(("x", "y", "z", "u", "v", "w"), frozenset({WIDE.domain[:6], WIDE.domain[4:]}))
     for mode, numbered in modes.items():
+        monkeypatch.setattr(evaluator, "_layouts", {})
+        monkeypatch.setattr(evaluator, "_image_entries", [0])
         new = Evaluator(WIDE, mode=mode)
         ref = evaluator_reference.Evaluator(WIDE, mode=mode)
         assert new.evaluate_with_stats(parse(text), team) == ref.evaluate_with_stats(parse(text), team)
         # the rows of each width are numbered apart from the others
         assert {width: len(rows) for width, rows in new._row_of.items()} == numbered
+        # a second evaluator over the domain reuses the numbering, and numbers no new row
+        again = Evaluator(WIDE, mode=mode)
+        assert again.evaluate_with_stats(parse(text), team) == ref.evaluate_with_stats(parse(text), team)
+        assert again._row_of is new._row_of
+        assert {width: len(rows) for width, rows in again._row_of.items()} == numbered
 
 
 def _outcome(ev, phi, team):
