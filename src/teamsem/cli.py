@@ -554,6 +554,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as err:
         print(f"input error: {err}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("error: the formula nests too deeply", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

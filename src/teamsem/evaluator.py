@@ -51,19 +51,21 @@ the new column where sorted order puts it, so a body over all of those
 columns is called on the supplemented mask itself, with no column
 permutation between.  An existential's search still takes the
 assignments in the order they would have with that column last, and a
-witness lists it last; `oracle` and `naive` append it.  A restriction
-onto all of a team's columns, in their order, is the mask itself and
-builds no table.  Other restriction and duplication images are cached
-per whole mask, in tables shared like the numbering, and a first-order
-node keeps a mask of the rows whose truth is known and one of those where
-it holds, so the engine runs once per row.  An existential off the flattening-guided rewrite tries the teams
-X[F/var] as the product, over X's assignments, of the nonempty unions of
-each one's duplicated rows.  Fast mode runs that search only on the
-duplicated rows where the body's flattening holds, and splits the body's
-conjunction spine by closure: first-order parts are dropped, an upwards
-closed atom that fails on those rows ends the search, a downwards closed
-one that holds on them is dropped, and each team tried checks the upwards
-closed atoms, the remaining downwards closed ones and then the other parts.
+witness, run on the evaluation's own nodes, tries the rows in those
+turns and lists the column last; `oracle` and `naive` append it.  A
+restriction onto all of a team's columns, in their order, is the mask
+itself and builds no table.  Other restriction and duplication images
+are cached per whole mask, in tables shared like the numbering, and a
+first-order node keeps a mask of the rows whose truth is known and one of
+those where it holds, so the engine runs once per row.  An existential
+off the flattening-guided rewrite tries the teams X[F/var] as the
+product, over X's assignments, of the nonempty unions of each one's
+duplicated rows.  Fast mode runs that search only on the duplicated rows
+where the body's flattening holds, and splits the body's conjunction
+spine by closure: first-order parts are dropped, an upwards closed atom
+that fails on those rows ends the search, a downwards closed one that
+holds on them is dropped, and each team tried checks the upwards closed
+atoms, the remaining downwards closed ones and then the other parts.
 A split by subteam tables over more than `SPLIT_ROWS_LIMIT` rows is an
 `EvalError`, and so are a search that tries 2^`SPLIT_ROWS_LIMIT`
 candidates without success (naive mode's covers and choice functions, a
@@ -111,6 +113,7 @@ from .syntax import (
     RelLit,
     RestrictedBy,
     _children,
+    _spine,
     flatten,
     free_variables,
     is_first_order,
@@ -180,19 +183,6 @@ def _forces_constant(node: Exists) -> bool:
     return False
 
 
-def _conjuncts(phi: Formula) -> list[Formula]:
-    """The parts of the conjunction spine at `phi`, left to right; a loop,
-    so a long spine costs no recursion."""
-    parts, stack = [], [phi]
-    while stack:
-        cur = stack.pop()
-        if isinstance(cur, And):
-            stack += cur.right, cur.left
-        else:
-            parts.append(cur)
-    return parts
-
-
 def _subteam_masks(bits: list[int]) -> Iterator[int]:
     """The union of the bits picked by each local mask 0, 1, ..., 2^n - 1 in
     turn, in memory linear in n: local mask m sets its lowest bit k and
@@ -254,6 +244,22 @@ def _past_limit(search: str, what: str) -> EvalError:
     it may try; each search counts its candidates k from 0 and raises it
     once `k >> SPLIT_ROWS_LIMIT` is nonzero."""
     return EvalError(f"{search} tried 2^{SPLIT_ROWS_LIMIT} {what}, the limit, and found none")
+
+
+def _first_union(
+    bits: list[int], holds: Callable[[int], bool], low: int = 0, high: int | None = None,
+    search: str = "a witness search", stats: EvalStats | None = None,
+) -> int | None:
+    """The first of the `_subteams` of `bits` on which `holds` is true, else
+    None, after at most 2^`SPLIT_ROWS_LIMIT` tries, each counted if `stats`."""
+    for k, sub in enumerate(_subteams(bits, low, high)):
+        if k >> SPLIT_ROWS_LIMIT:
+            raise _past_limit(search, "subteams")
+        if stats is not None:
+            stats.subsets += 1
+        if holds(sub):
+            return sub
+    return None
 
 
 @dataclass(slots=True)
@@ -442,15 +448,12 @@ class Evaluator:
 
         return self._layout.image((vars, to), len(vars), image)
 
-    def _assign(
-        self, vars: tuple[str, ...], var: str, values, last: bool = False
-    ) -> tuple[tuple[str, ...], Callable[[int], int]]:
+    def _assign(self, vars: tuple[str, ...], var: str, values) -> tuple[tuple[str, ...], Callable[[int], int]]:
         """X[values/var]: every row extended with, or overwritten by, each
         value.  A new column goes where sorted order puts it in fast mode,
-        so X[F/var] over sorted columns stays sorted, and last otherwise or
-        when `last` is set."""
+        so X[F/var] over sorted columns stays sorted, and last otherwise."""
         bit, over = self._bit, var in vars  # as an int, the columns it replaces
-        i = vars.index(var) if over else bisect.bisect(vars, var) if self.mode == "fast" and not last else len(vars)
+        i = vars.index(var) if over else bisect.bisect(vars, var) if self.mode == "fast" else len(vars)
         image = lambda row: sum({bit(row[:i] + (m,) + row[i + over :]) for m in values})  # noqa: E731
         return vars[:i] + (var,) + vars[i + over :], self._layout.image((vars, var, i, tuple(values)), len(vars), image)
 
@@ -705,24 +708,17 @@ class Evaluator:
                 return False
 
             return constant
-        # no witness can use a duplicated row that fails the flattening,
-        # and every original assignment must still be extendable
-        satisfying = self._satisfying(flatten(node.body), body_vars)
-        covers = self._covers(vars, body_vars, node.var)
+        # no witness can use a duplicated row that fails the flattening, and
+        # every original assignment must still be extendable (the columns
+        # are the node's free variables, so `var` is a new one)
+        satisfying, origin = self._satisfying(flatten(node.body), body_vars), self._restrict(body_vars, vars)
         search = body if upward else self._exists_by_subsets(node, body_vars)
 
         def guided(mask: int) -> bool:
             kept = satisfying(duplicated(mask))
-            return covers(mask, kept) and search(kept)
+            return origin(kept) == mask and search(kept)
 
         return guided
-
-    def _covers(self, vars: tuple[str, ...], sub_vars: tuple[str, ...], var: str) -> Callable[[int, int], bool]:
-        """Does every assignment of a team survive, for some value of
-        `var`, into `sub` (a subteam of the duplicated team)?"""
-        rest = tuple(v for v in vars if v != var)
-        of_team, of_sub = self._restrict(vars, rest), self._restrict(sub_vars, rest)
-        return lambda mask, sub: not of_team(mask) & ~of_sub(sub)
 
     def _exists_by_subsets(self, node: Exists, vars: tuple[str, ...]) -> Callable[[int], bool]:
         """Search the supplemented teams X[F/var] for one that satisfies the
@@ -736,14 +732,10 @@ class Evaluator:
         atom that holds on them holds on every candidate.  A candidate checks
         the upwards closed atoms, then the downwards closed ones that failed
         on those rows, then the other parts in spine order."""
-        stats, row_of, i = self._stats, self._row_of[len(vars)], vars.index(node.var)
-        origin = self._restrict(vars, vars[:i] + vars[i + 1 :])
-        # fast mode's bound column sorts among the others, but the assignments
-        # take their turns as with it last: in sorted order
-        resort, origin_row = self.mode == "fast" and i < len(vars) - 1, self._row_of[len(vars) - 1].__getitem__
+        stats, turns = self._stats, self._turns(vars, node.var)
         ups, downs, rest = [], [], []
         if self.mode == "fast":
-            for part in _conjuncts(node.body):
+            for part in _spine(node.body, And):
                 atom = self.registry.resolve_atom(part) if isinstance(part, DepAtom) else None
                 if atom and atom.upwards_closed:
                     ups.append(self._at(part, vars))
@@ -759,12 +751,7 @@ class Evaluator:
                 if not up(doubled):
                     return False
             checks = [*ups, *(down for down in downs if not down(doubled)), *rest]
-            groups: dict[int, list[int]] = {}
-            for b in _bits(doubled, row_of):
-                groups.setdefault(origin(b), []).append(b)
-            if resort and len(groups) > 1:
-                groups = {o: groups[o] for o in sorted(groups, key=origin_row)}
-            for k, sub in enumerate(_supplements(groups.values())):
+            for k, sub in enumerate(_supplements(turns(doubled))):
                 if k >> SPLIT_ROWS_LIMIT:
                     raise _past_limit("an existential search", "subteams")
                 stats.subsets += 1
@@ -777,6 +764,23 @@ class Evaluator:
 
         return search
 
+    def _turns(self, vars: tuple[str, ...], var: str) -> Callable[[int], Collection[list[int]]]:
+        """The turns of an existential's search: a mask's rows grouped by the
+        assignment they supplement, each group in sorted-row order, and the
+        groups in their assignments' sorted order, as with `var` last."""
+        row_of, i, origin_row = self._row_of[len(vars)], vars.index(var), self._row_of[len(vars) - 1].__getitem__
+        origin, resort = self._restrict(vars, vars[:i] + vars[i + 1 :]), self.mode == "fast" and i < len(vars) - 1
+
+        def turns(mask: int) -> Collection[list[int]]:
+            groups: dict[int, list[int]] = {}
+            for b in _bits(mask, row_of):
+                groups.setdefault(origin(b), []).append(b)
+            if resort and len(groups) > 1:
+                return [groups[o] for o in sorted(groups, key=origin_row)]
+            return groups.values()
+
+        return turns
+
     # -- possibility ------------------------------------------------------------
 
     def _possibly(self, node: Possibly, vars: tuple[str, ...]) -> Callable[[int], bool]:
@@ -784,17 +788,7 @@ class Evaluator:
         if self.mode == "fast" and upward_fragment(node.body, self.registry):
             satisfying = self._satisfying(flatten(node.body), vars)
             return lambda mask: bool(kept := satisfying(mask)) and body(kept)
-
-        def search(mask: int) -> bool:
-            for k, sub in enumerate(_subteams(_bits(mask, row_of), 1)):
-                if k >> SPLIT_ROWS_LIMIT:
-                    raise _past_limit("a possibility search", "subteams")
-                stats.subsets += 1
-                if body(sub):
-                    return True
-            return False
-
-        return search
+        return lambda mask: _first_union(_bits(mask, row_of), body, 1, None, "a possibility search", stats) is not None
 
     # -- witnesses ---------------------------------------------------------------
 
@@ -822,23 +816,21 @@ class Evaluator:
                     part_l, part_r = [row_of[b] for b in part_l], [row_of[b] for b in part_r]
                     return {"kind": "split", "left": listed(part_l), "right": listed(part_r)}
         if isinstance(phi, Exists):
-            # the bound column last, in fast mode too: it orders the candidates and the rows listed
-            doubled_vars, duplicated = self._assign(vars, phi.var, self.model.domain, last=True)
-            body, covers = self._at(phi.body, doubled_vars), self._covers(vars, doubled_vars, phi.var)
-            width = len(doubled_vars)
-            subs = _subteams(_bits(duplicated(mask), self._row_of[width]))
-            for k, sub in enumerate(subs):
-                if k >> SPLIT_ROWS_LIMIT:
-                    raise _past_limit("a witness search", "subteams")
-                if covers(mask, sub) and body(sub):
-                    return {"kind": "choice", "vars": list(doubled_vars), "rows": listed(self._rows(sub, width))}
+            # on the evaluation's nodes, the rows in its search's turns; a choice keeps every assignment
+            body_vars, duplicated = self._assign(vars, phi.var, self.model.domain)
+            body, doubled, rebound = self._at(phi.body, body_vars), duplicated(mask), phi.var in vars
+            origin = self._restrict(body_vars, tuple(v for v in vars if v != phi.var))
+            turns = [_bits(doubled, row_of)] if rebound else self._turns(body_vars, phi.var)(doubled)
+            need, bits = origin(doubled), [b for turn in turns for b in turn]
+            sub = _first_union(bits, lambda sub: origin(sub) == need and body(sub))
+            if sub is not None:  # listed with a new bound column last, a rebound one in its place
+                at = [body_vars.index(v) for v in (vars if rebound else (*vars, phi.var))]
+                rows = [[row[k] for k in at] for row in self._rows(sub, len(body_vars))]
+                return {"kind": "choice", "vars": [body_vars[k] for k in at], "rows": listed(rows)}
         if isinstance(phi, Possibly):
-            body = self._at(phi.body, vars)
-            for k, sub in enumerate(_subteams(_bits(mask, row_of), 1)):
-                if k >> SPLIT_ROWS_LIMIT:
-                    raise _past_limit("a witness search", "subteams")
-                if body(sub):
-                    return {"kind": "subteam", "rows": listed(self._rows(sub, len(vars)))}
+            sub = _first_union(_bits(mask, row_of), self._at(phi.body, vars), 1)
+            if sub is not None:
+                return {"kind": "subteam", "rows": listed(self._rows(sub, len(vars)))}
         if isinstance(phi, DepAtom):
             rel = team_project(team, phi.args)
             return {"kind": "projection", "columns": list(phi.args), "rows": [list(r) for r in sorted(rel)]}
@@ -851,13 +843,8 @@ class Evaluator:
         try 2^`SPLIT_ROWS_LIMIT` subteams, as `witness` may."""
         try:
             vars, mask = team.vars, self._mask(team.rows)
-            holds, subs = self._at(phi, vars), _subteams(_bits(mask, self._row_of[len(vars)]), 0, high)
-            for k, sub in enumerate(subs):
-                if k >> SPLIT_ROWS_LIMIT:
-                    raise _past_limit("a witness search", "subteams")
-                if holds(sub):
-                    return Team(vars, frozenset(self._rows(sub, len(vars))))
-            return None
+            sub = _first_union(_bits(mask, self._row_of[len(vars)]), self._at(phi, vars), 0, high)
+            return None if sub is None else Team(vars, frozenset(self._rows(sub, len(vars))))
         except RecursionError:
             raise EvalError(_TOO_DEEP) from None
 

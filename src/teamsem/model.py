@@ -26,6 +26,7 @@ from .syntax import (
     RelLit,
     Term,
     Var,
+    _spine,
     all_variable_names,
     ands,
     exists_chain,
@@ -514,11 +515,6 @@ def _block(node: Exists | Forall) -> tuple[list[str], Formula]:
         chain.append(body.var)
         body = body.body
     return chain, body
-
-
-def _spine(phi: Formula, kind: type) -> list[Formula]:
-    """The parts of the maximal `kind` (And or Or) tree at `phi`, left to right."""
-    return _spine(phi.left, kind) + _spine(phi.right, kind) if isinstance(phi, kind) else [phi]
 
 
 def _guard(parts: list[Formula], chain: list[str], exists: bool) -> tuple[int, RelLit, list[str]] | None:

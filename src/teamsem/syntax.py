@@ -215,6 +215,19 @@ def _children(phi: Formula) -> tuple[Formula, ...]:
     raise SyntaxViolation(f"unknown node {phi!r}")
 
 
+def _spine(phi: Formula, kind: type) -> list[Formula]:
+    """The parts of the maximal `kind` (And or Or) tree at `phi`, left to
+    right; a loop, so a long spine costs no recursion."""
+    parts, stack = [], [phi]
+    while stack:
+        cur = stack.pop()
+        if isinstance(cur, kind):
+            stack += cur.right, cur.left
+        else:
+            parts.append(cur)
+    return parts
+
+
 def subformulas(phi: Formula) -> Iterator[Formula]:
     """Every node of `phi` in pre-order, left to right."""
     stack = [phi]

@@ -10,6 +10,7 @@ import pytest
 
 import teamsem
 from teamsem import Model, Relation, Team, parse
+from teamsem.analysis import InvariantBreach
 from teamsem.cli import _ast_dict, main
 from teamsem.harness import DEFAULT_COST_BUDGET, SWEEPS, eval_cost_estimate
 from teamsem.model import cover_parts
@@ -122,6 +123,20 @@ def test_parse_too_deeply_nested_is_an_error_not_a_crash(capsys):
     assert main(["parse", "(" * 246 + "P(x)" + ")" * 246]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "nests deeper" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["parse", "translate", "analyze"])
+def test_a_chain_too_deep_for_the_stack_is_an_error_not_a_crash(command, capsys):
+    # the parser takes the chain in a loop, but the walks after it recurse
+    assert main([command, " /\\ ".join(["NE"] * 1200)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: the formula nests too deeply\n"
+
+
+def test_a_usage_error_exits_2(capsys):
+    assert main(["eval"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: teamsem eval") and "required: formula, --model" in err
 
 
 # --- eval -------------------------------------------------------------------
@@ -370,6 +385,15 @@ def test_translate_verify_outside_fast_mode_checks_a_formula_in_budget(capsys):
         argv = ["translate", "poss(P(x))", "--vars", "x", "--verify", "--mode", mode, "--grid", MICRO_GRID]
         assert main(argv) == 0
         assert capsys.readouterr().out.splitlines()[1] == "relation: R"
+
+
+def test_translate_verify_outside_fast_mode_estimates_a_restriction(capsys):
+    # a restriction costs as a split over the rows: 2^n (3^n naive) times its rows and body
+    phi = parse("restrict(NE; P(x))")
+    assert [eval_cost_estimate(phi, 2, 2, mode) for mode in ("oracle", "naive")] == [16, 36]
+    argv = ["translate", "restrict(NE; P(x))", "--verify", "--mode", "oracle", "--grid", MICRO_GRID]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[1:3] == ["relation: R", "tuple: x"]
 
 
 def test_translate_rejects_downward_atoms(capsys):
@@ -696,6 +720,16 @@ def test_analyze_tries_at_most_two_to_the_limit_subteams(capsys, tmp_path, monke
     monkeypatch.setattr(teamsem.evaluator, "SPLIT_ROWS_LIMIT", 2)
     assert main(args) == 2
     assert capsys.readouterr().err == "error: a witness search tried 2^2 subteams, the limit, and found none\n"
+
+
+def test_a_breached_invariant_exits_1(capsys, monkeypatch):
+    def breach(*args, **kwargs):
+        raise InvariantBreach("no witness within the height", {"formula": "NE"})
+
+    monkeypatch.setattr(teamsem.cli, "analyze", breach)
+    assert main(["analyze", "NE"]) == 1
+    err = capsys.readouterr().err
+    assert err == 'invariant breached: no witness within the height\nreproduction data: {"formula": "NE"}\n'
 
 
 def test_analyze_needs_model_and_team_together(capsys, model_file):

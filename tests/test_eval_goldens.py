@@ -25,8 +25,10 @@ import tempfile
 
 import pytest
 
-from teamsem import Model, Relation, Team
+from teamsem import Model, Relation, Team, parse
 from teamsem.cli import main
+from teamsem.evaluator import Evaluator
+from teamsem.syntax import Exists
 
 GOLDEN = pathlib.Path(__file__).parent / "goldens" / "eval_cli.json"
 MODES = ("naive", "oracle", "fast")
@@ -90,6 +92,17 @@ def render() -> dict[str, dict[str, str]]:
 def test_eval_stats_witness_bytes(formula):
     golden = json.loads(GOLDEN.read_text())
     assert {mode: run(formula, mode) for mode in MODES} == golden[formula]
+
+
+def test_a_witness_compiles_over_the_evaluations_sorted_columns():
+    # fast mode keeps every team's columns sorted, and a witness searches
+    # with the nodes the evaluation compiled, in no second column order
+    ev, chosen = Evaluator(MODEL), 0
+    for phi in (parse(formula, MODEL.constants) for formula in FORMULAS):
+        if isinstance(phi, Exists) and ev.evaluate(phi, TEAM):
+            chosen += ev.witness(phi, TEAM)["kind"] == "choice"
+    assert chosen == 3
+    assert all(list(vars) == sorted(vars) for _, vars in ev._compiled)
 
 
 def test_golden_covers_exactly_the_formula_set():

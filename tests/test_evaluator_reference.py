@@ -153,6 +153,15 @@ def test_covering_jumps_over_nine_duplicated_rows(phi, modes):
         assert_matches_reference(M3, phi, teams, mode)
 
 
+def test_the_assignments_take_their_turns_in_sorted_order():
+    # fast mode sorts `a` and `b` in front of the columns; its search must
+    # still take the assignments in the order they had with them appended
+    phi = parse("E a. E b. (dep(a; b) /\\ incl(a, b; x, y) /\\ a != x)")
+    rows = sorted(itertools.product(M3.domain, repeat=2))
+    teams = [Team(("x", "y"), frozenset(c)) for k in range(3) for c in itertools.combinations(rows, k)]
+    assert_matches_reference(M3, phi, teams, "fast")
+
+
 CRITERION_05 = harness._possibility_corpus(harness.DEFAULT_GRID, {"P": 1})
 
 
