@@ -10,6 +10,7 @@ single relation symbol R, and its closure/boundedness metadata.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
@@ -134,9 +135,8 @@ def _direct_indep(widths):
     def run(model: Model, rel: frozenset[Row]) -> bool:
         left = {t[:n] for t in rel}
         right = {t[n:] for t in rel}
-        return len(rel) == len(left) * len(right) and all(
-            a + b in rel for a in left for b in right
-        )
+        # rel lies within left x right, so the count alone makes it the product
+        return len(rel) == len(left) * len(right)
 
     return run
 
@@ -145,13 +145,16 @@ def _direct_cindep(widths):
     n, m, k = widths
 
     def run(model: Model, rel: frozenset[Row]) -> bool:
-        slices: dict[Row, set[tuple[Row, Row]]] = {}
+        if len(rel) < 2:
+            return True
+        slices: dict[Row, list[Row]] = {}
         for t in rel:
-            slices.setdefault(t[n + m :], set()).add((t[:n], t[n : n + m]))
-        for pairs in slices.values():
-            left = {a for a, _ in pairs}
-            right = {b for _, b in pairs}
-            if len(pairs) != len(left) * len(right):
+            slices.setdefault(t[n + m :], []).append(t)
+        if len(slices) == len(rel):
+            return True
+        # Distinct tuples: a slice is a product when it holds |left| x |right| of them.
+        for ts in slices.values():
+            if len(ts) > 1 and len(ts) != len({t[:n] for t in ts}) * len({t[n : n + m] for t in ts}):
                 return False
         return True
 
@@ -534,10 +537,27 @@ def eval_atom(model: Model, team: Team, atom: DepAtom, registry: AtomRegistry | 
 # Brute-force checkers
 
 
+PROBE_LIMIT = 1 << 20  # the most relations one brute-force check may try
+
+
 def _probes(arity: int, max_dom: int, max_rel: int) -> Iterator[tuple[Model, frozenset[Row]]]:
     """The (model, relation) pairs every brute-force checker tries: for each
     domain a.. of 2 to `max_dom` elements, a model with no relations and
-    each relation of `arity` with at most `max_rel` tuples, in size order."""
+    each relation of `arity` with at most `max_rel` tuples, in size order.
+    A scale with no pair, past 8 elements or over `PROBE_LIMIT` is refused."""
+    if not (2 <= max_dom <= 8 and max_rel >= 0):
+        raise AtomError(
+            f"brute-force checks need 2 <= max_dom <= 8 and max_rel >= 0, got max_dom={max_dom}, max_rel={max_rel}"
+        )
+    count = 0
+    for n in range(2, max_dom + 1):
+        for size in range(min(n**arity, max_rel) + 1):
+            count += math.comb(n**arity, size)
+            if count > PROBE_LIMIT:
+                raise AtomError(
+                    f"a brute-force check of arity {arity} at max_dom={max_dom}, max_rel={max_rel} "
+                    f"tries {count:,} relations or more, over the limit of {PROBE_LIMIT:,}"
+                )
     for n in range(2, max_dom + 1):
         model = Model(letters(n), {}, {})
         for rel in subsets(itertools.product(model.domain, repeat=arity), high=max_rel):
@@ -599,8 +619,6 @@ def check_boundedness(
         max_dom = max(3, kappa + 1)
     if max_rel is None:
         max_rel = max(4, kappa + 1, max_dom)
-    if max_dom > 8:
-        raise AtomError("boundedness scale capped at 8 domain elements")
     for model, rel in _probes(definition.arity, max_dom, max_rel):
         if not definition.direct(model, rel):
             continue

@@ -176,6 +176,26 @@ def test_fo_definition_agrees_finds_a_wrong_direct_evaluator():
     assert not resolve("dep", (1, 1)).direct(ce.model, ce.relation)
 
 
+# The independence kernels slice each tuple by group width, which unit
+# widths alone cannot tell from a slice at the wrong offset.
+WIDE_INDEPENDENCE = [
+    ("cindep", (2, 1, 1)),
+    ("cindep", (1, 2, 1)),
+    ("cindep", (1, 1, 2)),
+    ("noncindep", (2, 1, 1)),
+    ("noncindep", (1, 2, 1)),
+    ("noncindep", (1, 1, 2)),
+    ("indep", (2, 1)),
+    ("indep", (1, 2)),
+]
+
+
+@pytest.mark.parametrize("scale", [dict(max_dom=2, max_rel=4), dict(max_dom=3, max_rel=2)])
+@pytest.mark.parametrize("name,widths", WIDE_INDEPENDENCE)
+def test_independence_kernels_agree_beyond_unit_widths(name, widths, scale):
+    assert fo_definition_agrees(resolve(name, widths), **scale) is None
+
+
 def test_fo_definition_on_empty_relation():
     # With a first-order definition the empty team is just R = {}.  A
     # zero-group atom reads a nullary relation.
@@ -252,6 +272,60 @@ def test_least_bounds_of_negated_inclusion_and_independence():
     noncindep = resolve("noncindep", (1, 1, 1))
     assert check_boundedness(noncindep, 1, max_dom=2, max_rel=3) is not None
     assert check_boundedness(noncindep, 2, max_dom=2, max_rel=3) is None
+
+
+# --- the checkers' calls and scales ------------------------------------------------
+
+
+def counting(d):
+    """`d` with a direct evaluator that records each relation it is handed."""
+    calls = []
+
+    def counted(model, relation):
+        calls.append(relation)
+        return d.direct(model, relation)
+
+    return dataclasses.replace(d, direct=counted), calls
+
+
+def test_the_checkers_hand_every_relation_to_direct():
+    # One call per relation the search reaches, none cached or skipped: the
+    # benchmark's catalog points are these calls.
+    proxy, calls = counting(resolve("noncindep", (1, 1, 1)))
+    assert check_boundedness(proxy, 2) is None
+    assert len(calls) == 124_976
+    # The upward growth step adds a relation's one missing tuple in both of
+    # its rounds, and that repeated call counts too.
+    proxy, calls = counting(resolve("nondep", (1, 1)))
+    assert check_upwards_closed(proxy) is None
+    assert len(calls) == 3_625
+
+
+def test_the_checkers_refuse_a_scale_with_no_probe():
+    always = dataclasses.replace(resolve("dep", (1, 1)), direct=lambda model, rel: True)
+    with pytest.raises(AtomError, match="got max_dom=1, max_rel=4"):
+        check_upwards_closed(resolve("dep", (1, 1)), max_dom=1)
+    with pytest.raises(AtomError, match="got max_dom=1, max_rel=4"):
+        fo_definition_agrees(always, max_dom=1)
+    with pytest.raises(AtomError, match="got max_dom=3, max_rel=-1"):
+        fo_definition_agrees(always, max_rel=-1)
+    with pytest.raises(AtomError, match="got max_dom=1, max_rel=4"):
+        check_boundedness(resolve("total", (1,)), 1, max_dom=1)
+    # Past eight elements there are no more names to give them.
+    with pytest.raises(AtomError, match="got max_dom=9, max_rel=4"):
+        check_downwards_closed(resolve("const", (1,)), max_dom=9)
+    with pytest.raises(AtomError, match="got max_dom=9, max_rel=9"):
+        check_boundedness(resolve("total", (1,)), 8)
+
+
+def test_the_checkers_refuse_a_runaway_scale_before_the_first_probe():
+    proxy, calls = counting(resolve("noncindep", (2, 1, 1)))
+    with pytest.raises(AtomError, match="arity 4 at max_dom=3, max_rel=4 tries 1,754,899"):
+        check_boundedness(proxy, 2)
+    proxy, more = counting(resolve("dep", (3, 3)))
+    with pytest.raises(AtomError, match="arity 6 at max_dom=3, max_rel=4"):
+        check_upwards_closed(proxy)
+    assert calls == more == []
 
 
 # --- isomorphism invariance -------------------------------------------------------

@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -442,6 +443,22 @@ def test_check_bound_refutes_false_claim(capsys):
 def test_check_verdicts_that_hold(capsys, argv):
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["ok"] is True
+
+
+@pytest.mark.parametrize(
+    "argv,scale",
+    [
+        (["check", "bound", "noncindep", "2", "--widths", "2,1,1"], "arity 4 at max_dom=3, max_rel=4"),
+        (["check", "closure", "dep", "--widths", "3,3"], "arity 6 at max_dom=3, max_rel=4"),
+        # a bound of 8 needs a nine-element domain to refute
+        (["check", "bound", "total", "8"], "got max_dom=9, max_rel=9"),
+    ],
+)
+def test_check_refuses_a_scale_it_cannot_search(capsys, argv, scale):
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    assert scale in capsys.readouterr().err
 
 
 # --- check equiv / theorem ---------------------------------------------------
