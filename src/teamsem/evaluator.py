@@ -65,7 +65,12 @@ where the body's flattening holds, and splits the body's conjunction
 spine by closure: first-order parts are dropped, an upwards closed atom
 that fails on those rows ends the search, a downwards closed one that
 holds on them is dropped, and each team tried checks the upwards closed
-atoms, the remaining downwards closed ones and then the other parts.
+atoms, the remaining downwards closed ones and then the other parts.  An
+existential whose body forces its variable constant tries one value at a
+time; when the variable's sort (`_isolated_sort`) meets no relation and no
+constant, fast mode tries only the values the sort's columns of the team
+hold and the first value they do not, the rest being renamings of it.
+That assumes every atom evaluator is invariant under renaming elements.
 A split by subteam tables over more than `SPLIT_ROWS_LIMIT` rows is an
 `EvalError`, and so are a search that tries 2^`SPLIT_ROWS_LIMIT`
 candidates without success (naive mode's covers and choice functions, a
@@ -112,6 +117,7 @@ from .syntax import (
     Possibly,
     RelLit,
     RestrictedBy,
+    Var,
     _children,
     _spine,
     flatten,
@@ -119,6 +125,7 @@ from .syntax import (
     is_first_order,
     restrict,
     sorted_free_variables,
+    subformulas,
 )
 
 MODES = ("naive", "oracle", "fast")
@@ -181,6 +188,34 @@ def _forces_constant(node: Exists) -> bool:
         elif isinstance(cur, And) or (isinstance(cur, (Exists, Forall)) and cur.var != node.var):
             stack.extend(_children(cur))
     return False
+
+
+def _isolated_sort(node: Exists) -> frozenset[str] | None:
+    """The sort of the bound variable: the names linked to it in the body
+    (guards and possibility bodies included) by an equality of two variables
+    or by one dependency atom's arguments; None when one of them occurs in a
+    relation literal or in an equality with a constant.  Names are global,
+    which shadowing only makes conservative.  Swapping two values that no
+    column of an isolated sort holds in X, on those columns alone, fixes X,
+    takes X[a/var] to X[b/var] and keeps the body's truth, since atom
+    evaluators read only their relation and the domain's size."""
+    links, pinned = [], set()
+    for cur in subformulas(node.body):
+        if isinstance(cur, DepAtom):
+            links.append(set(cur.args))
+        elif isinstance(cur, EqLit) and isinstance(cur.left, Var) and isinstance(cur.right, Var):
+            links.append({cur.left.name, cur.right.name})
+        elif isinstance(cur, (RelLit, EqLit)):
+            terms = cur.args if isinstance(cur, RelLit) else (cur.left, cur.right)
+            pinned.update(t.name for t in terms if isinstance(t, Var))
+    sort, grown = {node.var}, True
+    while grown:
+        grown = False
+        for link in links:
+            if link & sort and not link <= sort:
+                sort |= link
+                grown = True
+    return None if sort & pinned else frozenset(sort)
 
 
 def _subteam_masks(bits: list[int]) -> Iterator[int]:
@@ -698,10 +733,21 @@ class Evaluator:
             return lambda mask: search(duplicated(mask))
         upward = upward_fragment(node.body, self.registry)
         if not upward and _forces_constant(node):
-            constants = [self._assign(vars, node.var, (value,))[1] for value in self.model.domain]
+            constants = [(value, self._assign(vars, node.var, (value,))[1]) for value in self.model.domain]
+            sort = _isolated_sort(node)
+            cols = tuple(v for v in vars if sort and v in sort)
+            project, of_cols = (self._restrict(vars, cols), self._row_of[len(cols)]) if cols else (None, None)
 
             def constant(mask: int) -> bool:
-                for assigned in constants:
+                # with an isolated sort, the values its columns do not hold
+                # are interchangeable, so only the first of them is tried
+                used = {m for b in _bits(project(mask), of_cols) for m in of_cols[b]} if cols else ()
+                spare = True
+                for value, assigned in constants:
+                    if value not in used:
+                        if not spare:
+                            continue
+                        spare = sort is None
                     stats.choices += 1
                     if body(assigned(mask)):
                         return True

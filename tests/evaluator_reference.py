@@ -45,6 +45,7 @@ from teamsem.syntax import (
     Possibly,
     RelLit,
     RestrictedBy,
+    Var,
     flatten,
     free_variables,
     is_first_order,
@@ -144,6 +145,46 @@ def _forces_constant(node: Exists) -> bool:
             if any(node.var in group for group in cur.groups):
                 return True
     return False
+
+
+def _isolated_sort(node: Exists) -> set[str] | None:
+    """The names reachable from the bound variable through equalities of two
+    variables and shared dependency atoms anywhere in the body, or None if
+    one of them meets a relation literal or a constant."""
+    edges: dict[str, set[str]] = {}
+    pinned: set[str] = set()
+
+    def link(names: list[str]) -> None:
+        for a in names:
+            edges.setdefault(a, set()).update(names)
+
+    def walk(phi: Formula) -> None:
+        if isinstance(phi, DepAtom):
+            link(list(phi.args))
+        elif isinstance(phi, EqLit):
+            if isinstance(phi.left, Var) and isinstance(phi.right, Var):
+                link([phi.left.name, phi.right.name])
+            else:
+                pinned.update(t.name for t in (phi.left, phi.right) if isinstance(t, Var))
+        elif isinstance(phi, RelLit):
+            pinned.update(t.name for t in phi.args if isinstance(t, Var))
+        elif isinstance(phi, (And, Or)):
+            walk(phi.left)
+            walk(phi.right)
+        elif isinstance(phi, (Exists, Forall, Possibly)):
+            walk(phi.body)
+        elif isinstance(phi, RestrictedBy):
+            walk(phi.body)
+            walk(phi.guard)
+
+    walk(node.body)
+    sort, todo = {node.var}, [node.var]
+    while todo:
+        for b in edges.get(todo.pop(), ()):
+            if b not in sort:
+                sort.add(b)
+                todo.append(b)
+    return None if sort & pinned else sort
 
 
 def _conjuncts(phi: Formula) -> list[Formula]:
@@ -425,7 +466,20 @@ class Evaluator:
             return self._exists_by_subsets(node, team, duplicate(self.model, team, node.var))
         upward = self._all_upward(node.body)
         if not upward and _forces_constant(node):
+            # with an isolated sort, of the values that no free column of
+            # the sort holds, only the first is tried
+            sort, free = _isolated_sort(node), self._free(node)
+            used = set()
+            if sort is not None:
+                for i, v in enumerate(team.vars):
+                    if v in sort and v in free:
+                        used.update(r[i] for r in team.rows)
+            spare_tried = False
             for value in self.model.domain:
+                if sort is not None and value not in used:
+                    if spare_tried:
+                        continue
+                    spare_tried = True
                 self.stats.choices += 1
                 if self._eval(node.body, _assign_constant(team, node.var, value)):
                     return True

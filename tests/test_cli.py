@@ -346,6 +346,23 @@ def test_eval_stats_do_not_depend_on_the_hash_seed(tmp_path, mode):
     assert len(outputs) == 1, sorted(outputs)
 
 
+def test_eval_stats_count_one_unused_value_per_constant_witness(tmp_path, capsys):
+    # the expansion of poss(P(x)) on {b} over four elements: u0 tries a
+    # alone and u1 tries a and b; trying every value would make 20 tries
+    m = Model(("a", "b", "c", "d"), {"P": Relation(1, frozenset({("a",)}))}, {})
+    (tmp_path / "m.json").write_text(m.to_json())
+    (tmp_path / "t.json").write_text(Team(("x",), frozenset({("b",)})).to_json())
+    expansion = (
+        "E u0. E u1. E v. (const(u0) /\\ const(u1) /\\ (v = u0 \\/ v = u1)"
+        " /\\ restrict(P(x) ; v = u1) /\\ inconst(v))"
+    )
+    paths = ["--model", str(tmp_path / "m.json"), "--team", str(tmp_path / "t.json")]
+    assert main(["eval", expansion, *paths, "--stats"]) == 0
+    verdict, stats = capsys.readouterr().out.splitlines()
+    assert verdict == "false"
+    assert json.loads(stats)["choices"] == 3
+
+
 # --- translate --------------------------------------------------------------
 
 

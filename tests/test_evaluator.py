@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 import pytest
 
-from teamsem import Model, Relation, Team, evaluate, evaluator, parse, sentence_true, syntax
-from teamsem.atoms import DEFAULT_REGISTRY
+from teamsem import Model, Relation, Team, evaluate, evaluator, harness, parse, sentence_true, syntax
+from teamsem.atoms import AtomRegistry, DEFAULT_REGISTRY
 from teamsem.evaluator import EvalStats, Evaluator, MODES, downward_closed, upward_fragment
 from teamsem.model import EvalError, SINGLETON_EMPTY_TEAM, tarski_eval
 from teamsem.syntax import And, count_nodes, free_variables
@@ -661,3 +661,99 @@ def test_a_subformula_shared_by_many_parents_is_compiled_once(mode, m2):
     assert ev.evaluate(phi, team("x", ("a",)))
     assert not ev.evaluate(phi, team("x", ("a",), ("b",)))
     assert ev.stats.nodes == 2 * 41
+
+
+# --- forced-constant existentials: one value per class of interchangeable values ---
+
+
+def _isolated_sort_items():
+    """(fast formula, oracle formula) pairs whose forced-constant existentials
+    have an isolated sort or are refused one, over a fresh registry with
+    `pair` (some row differs in its two columns) and `diag` (every row
+    agrees), custom atoms that the sorts reach."""
+    registry = AtomRegistry()
+    registry.register_custom("pair", 2, parse("E u. E v. (R(u, v) /\\ u != v)"), upwards_closed=True, bound=1)
+    registry.register_custom(
+        "diag", 2, parse("A u. A v. (!R(u, v) \\/ u = v)"), upwards_closed=False, downwards_closed=True
+    )
+    read = lambda text: parse(text, atom_names=registry.known_names())  # noqa: E731
+    items = [item[:2][::-1] for item in harness._possibility_corpus(harness.DEFAULT_GRID, {"P": 1})]
+    for body in ("P(x)", "dep(x; y) /\\ P(y)", "NE", "NE \\/ P(x)"):
+        phi = read(f"poss(poss({body}))")
+        items.append((desugar_possibility(phi), phi))
+    for text in (
+        "E z. (const(z) /\\ NE)",
+        "E z. (const(z) /\\ (NE \\/ z = x))",
+        "E z. (const(z) /\\ incl(z; x))",
+        "E z. (const(z) /\\ z != y /\\ incl(x; z))",
+        "E z. (const(z) /\\ pair(z, x))",
+        "E z. (const(z) /\\ diag(z, y))",
+        "E z. (const(z) /\\ (E w. (const(w) /\\ diag(w, z) /\\ pair(x, w))))",
+        "E z. (const(z) /\\ P(z))",
+        "E z. (const(z) /\\ z = x /\\ P(x))",
+        "E z. (const(z) /\\ restrict(NE ; P(z)))",
+    ):
+        items.append((read(text),) * 2)
+    return registry, items
+
+
+def test_forced_constant_existentials_agree_with_oracle_on_domains_up_to_4():
+    # domain 4 is the first where the inner witness of an expansion skips two
+    # or more values; every team of at most 2 rows on every P-model
+    registry, items = _isolated_sort_items()
+    for model in harness.enumerate_models({"P": 1}, 4):
+        fast, oracle = Evaluator(model, registry), Evaluator(model, registry, "oracle")
+        for X in harness.enumerate_teams(model, ("x", "y"), 2):
+            for psi, phi in items:
+                case = (syntax.pretty(phi), model.domain, sorted(model.relations["P"].tuples), sorted(X.rows))
+                assert fast.evaluate(psi, X) == oracle.evaluate(phi, X), case
+
+
+M4 = Model(
+    ("a", "b", "c", "d"),
+    {"P": Relation(1, frozenset({("d",)})), "R": Relation(2, frozenset({("a", "b"), ("b", "c")}))},
+    {"c0": "d"},
+)
+
+
+@pytest.mark.parametrize(
+    "text, verdict",
+    [
+        ("E z. (const(z) /\\ R(y, z))", False),
+        ("E z. (const(z) /\\ z = c0)", True),
+        ("E z. (const(z) /\\ z = x /\\ P(x))", False),
+        ("E z. (const(z) /\\ restrict(NE ; P(z)))", True),
+    ],
+)
+def test_a_sort_meeting_a_relation_or_a_constant_tries_every_value(text, verdict):
+    # the sort reaches a relation literal or a constant, directly, through
+    # an equality or in a guard, so no two values are interchangeable: the
+    # true ones hold only at d, the last value
+    phi, X = parse(text, M4.constants), team("xy", ("b", "a"), ("b", "b"))
+    ok, stats = Evaluator(M4).evaluate_with_stats(phi, X)
+    assert ok == verdict == evaluate(M4, X, phi, mode="oracle")
+    assert stats["choices"] == len(M4.domain)
+
+
+def test_the_possibility_expansion_tries_one_unused_value_per_witness():
+    # u0 tries a alone and u1 tries a and b, of the 4 + 4 * 4 values and pairs
+    m = Model(("a", "b", "c", "d"), {"P": Relation(1, frozenset({("a",)}))}, {})
+    ok, stats = Evaluator(m).evaluate_with_stats(desugar_possibility(parse("poss(P(x))")), team("x", ("b",)))
+    assert not ok and stats["choices"] == 3
+    # a team column in the sort: z tries b, the one value x holds, and a
+    ok, stats = Evaluator(m).evaluate_with_stats(parse("E z. (const(z) /\\ incl(z; x) /\\ z != x)"), team("x", ("b",)))
+    assert not ok and stats["choices"] == 2
+
+
+def test_the_criterion_05_expansions_try_a_pinned_number_of_values():
+    # guards against the rule silently ceasing to fire: trying every value
+    # of every witness makes 67,158 tries
+    total, corpus = 0, harness._possibility_corpus(harness.DEFAULT_GRID, {"P": 1})
+    for model in harness.enumerate_models({"P": 1}, 3):
+        if len(model.domain) == 3:
+            ev = Evaluator(model)
+            for X in harness.enumerate_teams(model, ("x", "y"), 2):
+                for _, psi, _ in corpus:
+                    ev.evaluate(psi, X)
+            total += ev.stats.choices
+    assert total == 33_496
